@@ -2,7 +2,6 @@
 negative pedal), no-silhouette sets, the generalized support-vector formula,
 and front criteria, with a catalog of analytic test frontals."""
 
-from ._kernels import active_backend
 from .analysis import (CahnHoffmanReport, FrontReport, NuSplit, cahn_hoffman,
                        front_equivalence, gamma_gradient, is_front_at,
                        nu_split, opening_residual)

@@ -1,49 +1,30 @@
-"""Hot numeric kernels with a numba-compiled fast path and a pure-numpy
-fallback.
-
-Backend selection: set FRONTALFORGE_NO_NUMBA=1 to force the numpy path (or
-pass backend="numpy"/"numba" explicitly).  FRONTALFORGE_THREADS caps numba's
-thread count.
-"""
+"""The dense support-extrema sweep, every pole against every sample: the
+reference whose decisions `silhouette.ns_raster` reproduces, and which it
+runs on the cells its error bands leave undecided."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("FRONTALFORGE_NO_NUMBA", "") not in ("", "0")
 
-HAVE_NUMBA = False
-if not _FORCE_NUMPY:
-    try:
-        import numba
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-        _threads = os.environ.get("FRONTALFORGE_THREADS")
-        if _threads:
-            numba.set_num_threads(max(1, min(int(_threads),
-                                             numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+def support_offsets(f_vals: np.ndarray, nu_vals: np.ndarray) -> np.ndarray:
+    """a_k = f(x_k).nu(x_k), so that d_k(P) = a_k - P.nu(x_k); shared with
+    `silhouette.ns_raster`, whose bounds start from the same rounded a_k."""
+    f_vals = np.ascontiguousarray(f_vals, dtype=float)
+    nu_vals = np.ascontiguousarray(nu_vals, dtype=float)
+    return np.einsum("sm,sm->s", f_vals, nu_vals)
 
 
-def active_backend() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def support_extrema_numpy(f_vals: np.ndarray, nu_vals: np.ndarray,
-                          poles: np.ndarray, chunk: int = 512):
+def support_extrema(f_vals: np.ndarray, nu_vals: np.ndarray,
+                    poles: np.ndarray, chunk: int = 512):
     """For each pole P, over the samples x: extrema of the signed support
     value d(x) = (f(x)-P).nu(x) plus the argmin of |d|.
 
     f_vals, nu_vals: (s, m); poles: (c, m).  Returns (dmin (c,), dmax (c,),
     argmin_abs (c,)).  Chunked over poles to bound the (chunk, s) workspace.
     """
-    f_vals = np.ascontiguousarray(f_vals, dtype=float)
+    a = support_offsets(f_vals, nu_vals)
     nu_vals = np.ascontiguousarray(nu_vals, dtype=float)
     poles = np.atleast_2d(np.ascontiguousarray(poles, dtype=float))
-    a = np.einsum("sm,sm->s", f_vals, nu_vals)
     c = poles.shape[0]
     dmin = np.empty(c)
     dmax = np.empty(c)
@@ -55,58 +36,3 @@ def support_extrema_numpy(f_vals: np.ndarray, nu_vals: np.ndarray,
         dmax[start:stop] = block.max(axis=1)
         argabs[start:stop] = np.argmin(np.abs(block), axis=1)
     return dmin, dmax, argabs
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _support_extrema_numba(a, nu_vals, poles):  # pragma: no cover - jit
-        c = poles.shape[0]
-        s = nu_vals.shape[0]
-        m = nu_vals.shape[1]
-        dmin = np.empty(c)
-        dmax = np.empty(c)
-        argabs = np.empty(c, dtype=np.int64)
-        for i in prange(c):
-            lo = np.inf
-            hi = -np.inf
-            best = np.inf
-            besti = 0
-            for k in range(s):
-                dot = 0.0
-                for j in range(m):
-                    dot += poles[i, j] * nu_vals[k, j]
-                d = a[k] - dot
-                if d < lo:
-                    lo = d
-                if d > hi:
-                    hi = d
-                v = abs(d)
-                if v < best:
-                    best = v
-                    besti = k
-            dmin[i] = lo
-            dmax[i] = hi
-            argabs[i] = besti
-        return dmin, dmax, argabs
-
-    def support_extrema_numba(f_vals, nu_vals, poles):
-        f_vals = np.ascontiguousarray(f_vals, dtype=float)
-        nu_vals = np.ascontiguousarray(nu_vals, dtype=float)
-        poles = np.atleast_2d(np.ascontiguousarray(poles, dtype=float))
-        a = np.einsum("sm,sm->s", f_vals, nu_vals)
-        return _support_extrema_numba(a, nu_vals, poles)
-
-
-def support_extrema(f_vals: np.ndarray, nu_vals: np.ndarray,
-                    poles: np.ndarray, backend: str | None = None):
-    """Dispatch to the selected backend (default: numba when available)."""
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but unavailable")
-        return support_extrema_numba(f_vals, nu_vals, poles)
-    if backend == "numpy":
-        return support_extrema_numpy(f_vals, nu_vals, poles)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -77,20 +78,18 @@ def _parse_pole(text: str, m: int) -> np.ndarray:
 
 
 def _resolve_poles(args, F, samples: int) -> np.ndarray:
-    spec = getattr(args, "poles", None)
-    if spec:
-        if spec.startswith("auto:"):
-            try:
-                k = int(spec.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad --poles {spec!r}")
-            grid = verify.grid_for(F, samples, interior_margin=1e-3)
-            return sample_poles(F, grid, k)
-        return np.array([_parse_pole(p, F.ambient_dim)
-                         for p in spec.split(";")])
-    if getattr(args, "pole", None):
+    """--poles (auto:k, or poles separated by ';') or else --pole, as rows."""
+    if not args.poles:
         return _parse_pole(args.pole, F.ambient_dim)[None, :]
-    raise UsageError("a pole is required (--pole or --poles)")
+    if args.poles.startswith("auto:"):
+        k = args.poles[5:]
+        if not k.isdecimal() or int(k) < 1:
+            raise UsageError(f"bad --poles {args.poles!r}; expected auto:k "
+                             "with k >= 1")
+        grid = verify.grid_for(F, samples, interior_margin=1e-3)
+        return sample_poles(F, grid, int(k))
+    return np.array([_parse_pole(p, F.ambient_dim)
+                     for p in args.poles.split(";")])
 
 
 def _write(path: str, text: str):
@@ -133,22 +132,14 @@ def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"known: {', '.join(verify.SUITES)}")
-    pole = None
-    F = None
-    if args.suite == "square-reconstruction":
-        if args.pole:
-            pole = _parse_pole(args.pole, 2)
-        report = verify.run_suite(args.suite, pole=pole,
-                                  samples=args.samples)
-    else:
-        F = _load_frontal(args)
-        if args.pole:
-            pole = _parse_pole(args.pole, F.ambient_dim)
-        n_poles = 5
-        if args.poles and args.poles.startswith("auto:"):
-            n_poles = int(args.poles.split(":", 1)[1])
-        report = verify.run_suite(args.suite, F=F, pole=pole,
-                                  n_poles=n_poles, samples=args.samples)
+    samples = args.samples or verify.DEFAULT_SAMPLES[args.suite]
+    F = None if args.suite == "square-reconstruction" else _load_frontal(args)
+    poles = None
+    if args.pole or args.poles:
+        poles = _resolve_poles(args, F or catalog("square"), samples)
+        if len(poles) > 1 and args.suite in verify.ONE_POLE:
+            raise UsageError(f"suite {args.suite} takes one pole")
+    report = verify.run_suite(args.suite, F=F, poles=poles, samples=samples)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.json:
         _write(args.json, text + "\n")
@@ -318,8 +309,26 @@ _COMMANDS = {
 }
 
 
+# argparse takes a value such as -0.5,0.1 for an option, so these options
+# get one joined on: `--pole -0.5,0.1` becomes `--pole=-0.5,0.1`.
+_REAL_LIST_OPTIONS = ("--pole", "--poles", "--bbox")
+_NEGATIVE_REAL_LIST = re.compile(r"-[0-9.][0-9.eE+\-,;]*")
+
+
+def _join_negative_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _REAL_LIST_OPTIONS \
+                and _NEGATIVE_REAL_LIST.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

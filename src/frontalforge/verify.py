@@ -12,7 +12,6 @@ from .analysis import cahn_hoffman, front_equivalence, opening_residual
 from .catalog import catalog, catalog_names
 from .errors import DegenerateNu2Error, SingularGaussMapError
 from .frontal import Frontal, check_frontal
-from .silhouette import ns_membership
 from .transforms import (anti_orthotomic, negative_pedal, orthotomic, pedal,
                          sample_poles)
 
@@ -38,9 +37,11 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
     return dom.grid([per_axis] * n)
 
 
-def _poles_for(F: Frontal, grid: np.ndarray, count: int, seed=None):
-    kw = {} if seed is None else {"seed": seed}
-    return sample_poles(F, grid, count, **kw)
+def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None):
+    """The given poles as a (k, m) array, or `count` sampled NS poles."""
+    if poles is None:
+        return sample_poles(F, grid, count)
+    return np.atleast_2d(np.asarray(poles, dtype=float))
 
 
 def suite_frontal_condition(F: Frontal, samples: int = 2048,
@@ -61,12 +62,13 @@ def suite_frontal_condition(F: Frontal, samples: int = 2048,
 
 
 def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
-                tol: float = 1e-8, frontal_tol: float = 1e-6) -> dict:
+                tol: float = 1e-8, frontal_tol: float = 1e-6,
+                poles=None) -> dict:
     """Orthotomic outputs: frontal condition with the induced Gauss map,
     the support identity ||f-f~|| ((f-P).nu) = 2 ((f~-P).nu~)^2, and
     f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3."""
     grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles)
+    poles = _poles_for(F, grid, n_poles, poles)
     ft = F.eval_f(grid)
     nt = F.eval_nu(grid)
     worst_identity = 0.0
@@ -99,12 +101,13 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     }
 
 
-def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5) -> dict:
+def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
+               poles=None) -> dict:
     """Anti-orthotomic identities: induced-normal tangency, the support
     value (f~-P).nu~ = ||f-P||/2, the equidistance ||f~-P|| = ||f~-f||, and
     both round trips with the orthotomic."""
     grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles)
+    poles = _poles_for(F, grid, n_poles, poles)
     fv = F.eval_f(grid)
     worst = {"frontal": 0.0, "support": 0.0, "equidistance": 0.0,
              "roundtrip": 0.0}
@@ -184,12 +187,12 @@ def suite_thm2(G: Frontal, P, samples: int = 1024,
 
 
 def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
-               nu2_min: float = 1e-3) -> dict:
+               nu2_min: float = 1e-3, poles=None) -> dict:
     """The opening identity: the weighted sum of Gauss-component gradients
     cancels the gradient of the half-distance, wherever the normal
     coefficient is bounded away from zero."""
     grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles)
+    poles = _poles_for(F, grid, n_poles, poles)
     worst = 0.0
     tested = 0
     for P in poles:
@@ -214,11 +217,11 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
 
 
 def suite_thm4(F: Frontal, samples: int = 256, n_poles: int = 5,
-               rank_tol: float = 1e-6) -> dict:
+               rank_tol: float = 1e-6, poles=None) -> dict:
     """Three-way agreement of the front criteria outside the rank-ambiguity
     band."""
     grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles)
+    poles = _poles_for(F, grid, n_poles, poles)
     tested = 0
     excluded = 0
     inconsistent = 0
@@ -310,33 +313,36 @@ def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096,
     }
 
 
-SUITES = ("frontal-condition", "thm1", "prop1", "thm2", "thm3", "thm4",
-          "square-reconstruction")
+# Sample count of each suite when the caller gives none.
+DEFAULT_SAMPLES = {"frontal-condition": 2048, "thm1": 1024, "prop1": 1024,
+                   "thm2": 256, "thm3": 256, "thm4": 256,
+                   "square-reconstruction": 4096}
+SUITES = tuple(DEFAULT_SAMPLES)
+# Suites that test a single pole; they take the first of the given poles.
+ONE_POLE = ("thm2", "square-reconstruction")
 
 
-def run_suite(name: str, F: Frontal | None = None, pole=None,
+def run_suite(name: str, F: Frontal | None = None, poles=None,
               n_poles: int = 5, samples: int | None = None) -> dict:
-    """Dispatch a named suite with its default sample count."""
+    """Dispatch a named suite.  poles: one per row, or None for n_poles
+    sampled NS poles (thm2: one; square-reconstruction: its default)."""
+    if name not in DEFAULT_SAMPLES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    samples = samples or DEFAULT_SAMPLES[name]
+    if poles is not None:
+        poles = np.atleast_2d(np.asarray(poles, dtype=float))
     if name == "square-reconstruction":
-        kw = {} if samples is None else {"samples": samples}
-        if pole is not None:
-            kw["P"] = pole
-        return suite_square_reconstruction(**kw)
+        if poles is None:
+            return suite_square_reconstruction(samples=samples)
+        return suite_square_reconstruction(poles[0], samples=samples)
     if F is None:
         raise ValueError(f"suite {name!r} needs a frontal")
     if name == "frontal-condition":
-        return suite_frontal_condition(F, samples=samples or 2048)
-    if name == "prop1":
-        return suite_prop1(F, samples=samples or 1024, n_poles=n_poles)
-    if name == "thm1":
-        return suite_thm1(F, samples=samples or 1024, n_poles=n_poles)
+        return suite_frontal_condition(F, samples=samples)
     if name == "thm2":
-        if pole is None:
-            grid = grid_for(F, samples or 256, interior_margin=1e-3)
-            pole = sample_poles(F, grid, 1)[0]
-        return suite_thm2(F, pole, samples=samples or 256)
-    if name == "thm3":
-        return suite_thm3(F, samples=samples or 256, n_poles=n_poles)
-    if name == "thm4":
-        return suite_thm4(F, samples=samples or 256, n_poles=n_poles)
-    raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+        grid = grid_for(F, samples, interior_margin=1e-3)
+        return suite_thm2(F, _poles_for(F, grid, 1, poles)[0],
+                          samples=samples)
+    # looked up at call time, so a wrapped suite_* is the one that runs
+    suite = globals()["suite_" + name]
+    return suite(F, samples=samples, n_poles=n_poles, poles=poles)

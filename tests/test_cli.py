@@ -113,6 +113,61 @@ class TestVerify:
                     "--pole", "1,0", "--samples", "64"])
         assert code in (EXIT_VERIFY_FAIL, EXIT_DEGENERATE)
 
+    def test_bad_auto_pole_count_is_usage_error(self, capsys):
+        for spec in ("auto:x", "auto:0"):
+            assert run(["verify", "--suite", "thm1", "--catalog", "circle",
+                        "--poles", spec, "--samples", "64"]) == EXIT_USAGE
+            assert "bad --poles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["thm1", "prop1", "thm3", "thm4"])
+    def test_explicit_poles_are_used(self, suite, capsys):
+        for argv, poles in (
+                (["--poles", "-0.5,0.1;0.3,0.1"], [[-0.5, 0.1], [0.3, 0.1]]),
+                (["--pole", "-0.5,0.1"], [[-0.5, 0.1]])):
+            code = run(["verify", "--suite", suite, "--catalog", "circle",
+                        "--samples", "32"] + argv)
+            assert code == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["poles"] == poles
+
+    def test_auto_poles_match_suite_sampler(self, capsys):
+        from frontalforge import verify
+        from frontalforge.catalog import catalog
+
+        assert run(["verify", "--suite", "thm1", "--catalog", "cusp",
+                    "--poles", "auto:2", "--samples", "128"]) == EXIT_OK
+        rep = verify.suite_thm1(catalog("cusp"), samples=128, n_poles=2)
+        assert json.loads(capsys.readouterr().out)["poles"] == rep["poles"]
+
+    def test_one_pole_suite_rejects_several(self, capsys):
+        code = run(["verify", "--suite", "thm2", "--catalog", "circle",
+                    "--poles", "0.1,0.2;0.3,0.1", "--samples", "32"])
+        assert code == EXIT_USAGE
+
+
+class TestNegativeValues:
+    def test_pole_after_space(self, capsys):
+        argv = ["transform", "--catalog", "circle", "--kind", "pedal",
+                "--samples", "8"]
+        assert run(argv + ["--pole", "-0.5,0.1"]) == EXIT_OK
+        spaced = capsys.readouterr().out
+        assert run(argv + ["--pole=-0.5,0.1"]) == EXIT_OK
+        assert capsys.readouterr().out == spaced
+
+    def test_bbox_after_space(self, tmp_path):
+        argv = ["ns", "--catalog", "circle", "--resolution", "16",
+                "--samples", "256", "--out-pgm"]
+        a = tmp_path / "a.pgm"
+        b = tmp_path / "b.pgm"
+        assert run(argv + [str(a), "--bbox", "-2,2,-2,2"]) == EXIT_OK
+        assert run(argv + [str(b), "--bbox=-2,2,-2,2"]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_non_numeric_value_left_alone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["transform", "--catalog", "circle", "--kind", "pedal",
+                 "--pole", "-x,1"])
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestNs:
     def test_pgm_stdout(self, capsys):

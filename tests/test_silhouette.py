@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontalforge import _kernels
-from frontalforge.catalog import catalog
+from frontalforge.catalog import catalog, catalog_names
 from frontalforge.frontal import Frontal, interval
-from frontalforge.silhouette import (ns_membership, ns_raster, raster_to_csv,
-                                     raster_to_pgm)
+from frontalforge.silhouette import (DEFAULT_NS_TOL_FRAC, ns_membership,
+                                     ns_raster, raster_to_csv, raster_to_pgm)
 from frontalforge.transforms import anti_orthotomic, sample_poles
 
 
@@ -123,6 +125,9 @@ class TestRaster:
                            F.domain.grid([64]))
         off_line = np.abs(raster.centers()[1]) > 0.1
         assert bool(np.all(raster.cells[off_line]))
+        np.testing.assert_array_equal(
+            raster.cells, _dense_cells(F, (-1.0, 1.0, -0.5, 0.5), (8, 9),
+                                       F.domain.grid([64])))
 
     def test_rejects_sphere(self):
         with pytest.raises(ValueError):
@@ -135,26 +140,116 @@ class TestRaster:
             ns_raster(F, (1.0, 1.0, -1.0, 1.0), 8, _grid(F, 64))
 
     def test_backends_agree(self):
+        # the row-interval raster against the dense sweep it replaces
         F = catalog("circle-cubic")
         g = _grid(F, 512)
-        a = ns_raster(F, (-2, 2, -2, 2), 32, g, backend="numpy")
-        if _kernels.HAVE_NUMBA:
-            b = ns_raster(F, (-2, 2, -2, 2), 32, g, backend="numba")
-            np.testing.assert_array_equal(a.cells, b.cells)
+        raster = ns_raster(F, (-2, 2, -2, 2), 32, g)
+        np.testing.assert_array_equal(
+            raster.cells, _dense_cells(F, (-2, 2, -2, 2), (32, 32), g))
 
-    def test_kernel_backends_agree_to_roundoff(self):
-        if not _kernels.HAVE_NUMBA:
-            pytest.skip("numba backend unavailable")
-        rng = np.random.default_rng(7)
-        fv = rng.normal(size=(600, 2))
-        nv = rng.normal(size=(600, 2))
-        nv /= np.linalg.norm(nv, axis=1)[:, None]
-        poles = rng.normal(size=(1100, 2))  # exceeds the numpy chunk size
-        a = _kernels.support_extrema(fv, nv, poles, backend="numpy")
-        b = _kernels.support_extrema(fv, nv, poles, backend="numba")
-        # BLAS vs scalar-loop summation: equal up to a few ulps
-        np.testing.assert_allclose(a[0], b[0], rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(a[1], b[1], rtol=0.0, atol=1e-14)
+
+def _dense_cells(F, bbox, resolution, grid, tol_frac=DEFAULT_NS_TOL_FRAC):
+    """Reference raster: `_kernels.support_extrema` at every cell center."""
+    nx, ny = resolution
+    xmin, xmax, ymin, ymax = bbox
+    xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
+    ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
+    gx, gy = np.meshgrid(xs, ys)
+    grid = F.domain.wrap(grid)
+    fv = F.eval_f(grid)
+    nv = F.eval_nu(grid)
+    dmin, dmax, _ = _kernels.support_extrema(
+        fv, nv, np.stack([gx.ravel(), gy.ravel()], axis=-1))
+    scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
+    tol = tol_frac * max(scale, 1.0)
+    return ((dmin > tol) | (dmax < -tol)).reshape(ny, nx)
+
+
+PLANAR = tuple(name for name in catalog_names()
+               if catalog(name).ambient_dim == 2)
+
+
+class TestRasterMatchesDense:
+    """Cell-for-cell agreement of `ns_raster` with the dense sweep."""
+
+    @pytest.mark.parametrize("samples", [64, 512, 4096])
+    @pytest.mark.parametrize("name", PLANAR)
+    def test_seeded_boxes(self, name, samples):
+        F = catalog(name)
+        g = _grid(F, samples)
+        rng = np.random.default_rng([samples, PLANAR.index(name)])
+        for _ in range(4):
+            cx, cy = rng.uniform(-1.0, 1.0, 2)
+            hx, hy = rng.uniform(0.2, 3.0, 2)
+            bbox = (cx - hx, cx + hx, cy - hy, cy + hy)
+            res = tuple(int(v) for v in rng.integers(2, 40, 2))
+            np.testing.assert_array_equal(
+                ns_raster(F, bbox, res, g).cells,
+                _dense_cells(F, bbox, res, g))
+
+    @pytest.mark.parametrize("res", [(2, 2), (2, 7), (7, 2), (3, 5)])
+    def test_small_non_square(self, res):
+        F = catalog("square")
+        g = _grid(F, 512)
+        bbox = (-1.7, 1.3, -0.9, 2.1)
+        np.testing.assert_array_equal(ns_raster(F, bbox, res, g).cells,
+                                      _dense_cells(F, bbox, res, g))
+
+    @pytest.mark.parametrize("top", [1.5, 1.5 - 1e-15])
+    @pytest.mark.parametrize("res", [(3, 3), (5, 3), (9, 9)])
+    def test_band_cells_use_dense_sweep(self, res, top, monkeypatch):
+        # with no margin, cell centers on the unit circle sit exactly on a
+        # half-plane bound, so only the dense sweep can decide them; the
+        # lowered top edge moves some centers just inside, where they are
+        # members
+        F = catalog("circle")
+        g = _grid(F, 1024)
+        bbox = (-1.5, top, -1.5, top)
+        redone = []
+        dense = _kernels.support_extrema
+
+        def counting(f_vals, nu_vals, poles):
+            redone.append(len(poles))
+            return dense(f_vals, nu_vals, poles)
+
+        monkeypatch.setattr(_kernels, "support_extrema", counting)
+        cells = ns_raster(F, bbox, res, g, tol_frac=0.0).cells
+        monkeypatch.undo()
+        assert sum(redone) > 0
+        np.testing.assert_array_equal(
+            cells, _dense_cells(F, bbox, res, g, tol_frac=0.0))
+
+    @pytest.mark.parametrize("name", PLANAR)
+    def test_boxes_around_image_points(self, name):
+        # boxes a few ulps wide around points of the curve: every cell lies
+        # within rounding distance of some half-plane bound
+        F = catalog(name)
+        g = _grid(F, 512)
+        points = F.eval_f(F.domain.wrap(g))
+        rng = np.random.default_rng(PLANAR.index(name))
+        for cx, cy in points[rng.choice(len(points), 4)]:
+            for h in (1e-15, 1e-14, 1e-13):
+                bbox = (cx - h, cx + h, cy - h, cy + h)
+                for tol_frac in (0.0, DEFAULT_NS_TOL_FRAC):
+                    np.testing.assert_array_equal(
+                        ns_raster(F, bbox, 16, g, tol_frac=tol_frac).cells,
+                        _dense_cells(F, bbox, (16, 16), g, tol_frac))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(PLANAR),
+           samples=st.sampled_from([64, 512, 4096]),
+           corner=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           size=st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
+           res=st.tuples(st.integers(2, 24), st.integers(2, 24)),
+           tol_frac=st.sampled_from([0.0, DEFAULT_NS_TOL_FRAC, 1e-3]))
+    def test_property(self, name, samples, corner, size, res, tol_frac):
+        F = catalog(name)
+        g = _grid(F, samples)
+        bbox = (corner[0], corner[0] + size[0],
+                corner[1], corner[1] + size[1])
+        np.testing.assert_array_equal(
+            ns_raster(F, bbox, res, g, tol_frac=tol_frac).cells,
+            _dense_cells(F, bbox, res, g, tol_frac=tol_frac))
 
 
 class TestSerialization:
