@@ -67,11 +67,20 @@ def _load_frontal(args):
         raise UsageError(str(exc))
 
 
-def _parse_pole(text: str, m: int) -> np.ndarray:
+def _parse_reals(text: str, what: str) -> list:
+    """Comma-separated finite reals; anything else is a usage error."""
     try:
-        P = np.array([float(v) for v in text.split(",")])
+        vals = [float(v) for v in text.split(",")]
+        if np.all(np.isfinite(vals)):
+            return vals
     except ValueError:
-        raise UsageError(f"bad pole {text!r}; expected comma-separated reals")
+        pass
+    raise UsageError(f"bad {what} {text!r}; expected comma-separated "
+                     "finite reals")
+
+
+def _parse_pole(text: str, m: int) -> np.ndarray:
+    P = np.array(_parse_reals(text, "pole"))
     if P.shape[0] != m:
         raise UsageError(f"pole has dimension {P.shape[0]}, expected {m}")
     return P
@@ -152,16 +161,19 @@ def cmd_ns(args) -> int:
     F = _load_frontal(args)
     if F.ambient_dim != 2:
         raise UsageError("ns raster requires ambient dimension 2")
-    try:
-        xmin, xmax, ymin, ymax = (float(v) for v in args.bbox.split(","))
-    except ValueError:
+    bbox = _parse_reals(args.bbox, "--bbox")
+    if len(bbox) != 4:
         raise UsageError(f"bad --bbox {args.bbox!r}; expected "
                          "xmin,xmax,ymin,ymax")
+    xmin, xmax, ymin, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
         raise UsageError("degenerate bounding box")
-    res = tuple(int(v) for v in args.resolution.split(","))
-    if len(res) == 1:
-        res = (res[0], res[0])
+    parts = args.resolution.split(",")
+    if not (len(parts) in (1, 2) and all(v.strip().isdecimal() for v in parts)
+            and min(int(v) for v in parts) >= 2):
+        raise UsageError(f"bad --resolution {args.resolution!r}; expected "
+                         "nx[,ny] with integers >= 2")
+    res = (int(parts[0]), int(parts[-1]))
     grid = verify.grid_for(F, args.samples)
     kw = {}
     if args.tol_ns is not None:
@@ -233,6 +245,28 @@ def cmd_front_check(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --samples: an integer >= 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the --tol-* options: a finite real >= 0.  Against a
+    NaN or negative tolerance every `<=` test is false, so the checks it
+    bounds would silently pass or fail everywhere."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = -1.0
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite real >= 0, got {text!r}")
+    return tol
+
+
 def _add_frontal_args(p):
     p.add_argument("--catalog", help="catalog frontal name")
     p.add_argument("--param", action="append",
@@ -251,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in TransformKind])
     p.add_argument("--pole", required=True)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_positive_int, default=1024)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--svg", help="SVG output path (planar curves)")
     p.add_argument("--source-out", help="CSV path for the source samples")
     p.add_argument("--no-gauss", action="store_true",
                    help="omit the induced Gauss map columns")
-    p.add_argument("--tol-degeneracy", type=float,
+    p.add_argument("--tol-degeneracy", type=_tolerance,
                    help="override the pole degeneracy tolerance")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -265,35 +299,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frontal_args(p)
     p.add_argument("--pole")
     p.add_argument("--poles", help="'auto:k' for k sampled poles")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_positive_int)
     p.add_argument("--json", help="write the report to this path")
 
     p = sub.add_parser("ns", help="no-silhouette raster (PGM/CSV)")
     _add_frontal_args(p)
     p.add_argument("--bbox", required=True, help="xmin,xmax,ymin,ymax")
     p.add_argument("--resolution", default="128", help="nx[,ny]")
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=_positive_int, default=1024)
     p.add_argument("--out-pgm")
     p.add_argument("--out-csv")
-    p.add_argument("--tol-ns", type=float,
+    p.add_argument("--tol-ns", type=_tolerance,
                    help="override the membership margin fraction")
 
     p = sub.add_parser("cahn-hoffman",
                        help="vector-formula report per grid point (JSONL)")
     _add_frontal_args(p)
     p.add_argument("--pole", required=True)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--json", help="output path (default stdout)")
-    p.add_argument("--tol-jnu", type=float,
+    p.add_argument("--tol-jnu", type=_tolerance,
                    help="override the Gauss-Jacobian determinant cutoff")
 
     p = sub.add_parser("front-check",
                        help="front-criterion report per grid point (JSONL)")
     _add_frontal_args(p)
     p.add_argument("--pole", required=True)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--json", help="output path (default stdout)")
-    p.add_argument("--tol-rank", type=float,
+    p.add_argument("--tol-rank", type=_tolerance,
                    help="override the rank-decision tolerance")
 
     return ap

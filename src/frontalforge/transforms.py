@@ -1,15 +1,17 @@
-"""The four frontal transforms relative to a pole P.
+"""The four frontal transforms relative to a pole P, as one family.
 
-Forward pair (source frontal written f~ with normal nu~):
-  orthotomic   f(x) = 2((f~(x)-P).nu~(x)) nu~(x) + P   (mirror images of P)
-  pedal        g(x) =  ((f~(x)-P).nu~(x)) nu~(x) + P   (feet of perpendiculars)
+All four are built from the support value d = (f-P).nu of the source
+frontal (f, nu).  The forward kinds send P to lambda times its foot on each
+tangent hyperplane, f' = lambda d nu + P: the orthotomic (lambda = 2) and the
+pedal (lambda = 1).  Their Gauss map is nu' = (o-f)/||o-f|| with o = 2 d nu + P
+the orthotomic; it needs d != 0 (else GaussDegenerateError).  The inverse
+kinds, the anti-orthotomic (lambda = 2, b = f) and the negative pedal
+(lambda = 1, b = 2f - P), are the unique inverses of those two maps:
 
-Inverse pair (requires P in the no-silhouette set of the input):
-  anti-orthotomic  f~(x) = f(x) - ||f(x)-P||^2 / (2 (f(x)-P).nu(x)) nu(x)
-  negative pedal   f~(x) = 2g(x) - P - ||g(x)-P||^2 / ((g(x)-P).nu(x)) nu(x)
+  f' = b - ||f-P||^2 / (lambda d) nu,   nu' = (f-P)/||f-P||,
 
-Each returns a TransformResult whose `result` is a new lazy Frontal carrying
-the induced Gauss map.
+which need P in the no-silhouette set of the source (else
+PoleOnSilhouetteError).  Each result is a lazy Frontal on the source's domain.
 """
 from __future__ import annotations
 
@@ -44,140 +46,98 @@ class TransformResult:
     kind: TransformKind
 
 
-def _support(F: Frontal, P: np.ndarray, x: np.ndarray):
-    """(f(x)-P).nu(x) together with f(x), nu(x)."""
-    fv = F.eval_f(x)
-    nv = F.eval_nu(x)
-    d = np.einsum("km,km->k", fv - P, nv)
-    return fv, nv, d
+# kind -> (lambda, inverse?)
+_FAMILY = {
+    TransformKind.ORTHOTOMIC: (2.0, False),
+    TransformKind.PEDAL: (1.0, False),
+    TransformKind.ANTI_ORTHOTOMIC: (2.0, True),
+    TransformKind.NEGATIVE_PEDAL: (1.0, True),
+}
+
+
+def _raise_at_first(bad, x, d, error):
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise error(x[i], float(d[i]))
+
+
+def transform(kind: TransformKind, F: Frontal, P,
+              degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
+              ) -> TransformResult:
+    """The `kind` transform of F relative to P (see the module docstring).
+
+    The result shares F's domain, so its evaluators call F's raw f and nu on
+    points that its own eval_f, eval_nu or Jacobian has already wrapped.
+    """
+    lam, inverse = _FAMILY[kind]
+    P = np.asarray(P, dtype=float)
+
+    def support(x):
+        fv = np.asarray(F.f(x), dtype=float)
+        nv = np.asarray(F.nu(x), dtype=float)
+        return fv, nv, np.einsum("km,km->k", fv - P, nv)
+
+    if inverse:
+        def check(x, d, r):
+            bad = np.abs(d) <= degeneracy_tol * np.maximum(r, 1e-300)
+            _raise_at_first(bad, x, d, PoleOnSilhouetteError)
+
+        def f(x):
+            fv, nv, d = support(x)
+            r2 = np.einsum("km,km->k", fv - P, fv - P)
+            check(x, d, np.sqrt(r2))
+            # a branch: (2/lam) f - (2/lam - 1) P can flip the sign of a zero
+            base = fv if lam == 2.0 else 2.0 * fv - P
+            return base - (r2 / (lam * d))[:, None] * nv
+
+        def nu(x):
+            fv, _, d = support(x)
+            diff = fv - P
+            r = np.linalg.norm(diff, axis=1)
+            check(x, d, r)
+            return diff / r[:, None]
+    else:
+        def f(x):
+            _, nv, d = support(x)
+            return lam * d[:, None] * nv + P
+
+        def nu(x):
+            fv, nv, d = support(x)
+            _raise_at_first(np.abs(d) <= degeneracy_tol, x, d,
+                            GaussDegenerateError)
+            diff = 2.0 * d[:, None] * nv + P - fv  # orthotomic minus source
+            return diff / np.linalg.norm(diff, axis=1)[:, None]
+
+    out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
+                  fd_step=TRANSFORM_FD_STEP,
+                  name=f"{kind.value}({F.name or 'frontal'})")
+    return TransformResult(result=out, source=F, pole=P, kind=kind)
 
 
 def orthotomic(F: Frontal, P, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
                ) -> TransformResult:
-    """Mirror image of P in the tangent hyperplanes of F.
-
-    The image map evaluates everywhere; the induced Gauss map requires
-    (f~(x)-P).nu~(x) != 0 and raises GaussDegenerateError otherwise.
-    """
-    P = np.asarray(P, dtype=float)
-
-    def f(x):
-        fv, nv, d = _support(F, P, x)
-        return 2.0 * d[:, None] * nv + P
-
-    def nu(x):
-        fv, nv, d = _support(F, P, x)
-        bad = np.abs(d) <= degeneracy_tol
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise GaussDegenerateError(x[i], float(d[i]))
-        diff = 2.0 * d[:, None] * nv + P - fv  # = f(x) - f~(x)
-        return diff / np.linalg.norm(diff, axis=1)[:, None]
-
-    out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
-                  fd_step=TRANSFORM_FD_STEP, name=f"orthotomic({F.name or 'frontal'})")
-    return TransformResult(result=out, source=F, pole=P,
-                           kind=TransformKind.ORTHOTOMIC)
+    """Mirror images of P in the tangent hyperplanes of F."""
+    return transform(TransformKind.ORTHOTOMIC, F, P, degeneracy_tol)
 
 
 def pedal(F: Frontal, P, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
           ) -> TransformResult:
     """Feet of the perpendiculars from P to the tangent hyperplanes of F."""
-    P = np.asarray(P, dtype=float)
-
-    def g(x):
-        fv, nv, d = _support(F, P, x)
-        return d[:, None] * nv + P
-
-    def nu(x):
-        fv, nv, d = _support(F, P, x)
-        bad = np.abs(d) <= degeneracy_tol
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise GaussDegenerateError(x[i], float(d[i]))
-        # 2g - P - f~ = f - f~ with f the orthotomic
-        diff = 2.0 * d[:, None] * nv + P - fv
-        return diff / np.linalg.norm(diff, axis=1)[:, None]
-
-    out = Frontal(domain=F.domain, f=g, nu=nu, ambient_dim=F.ambient_dim,
-                  fd_step=TRANSFORM_FD_STEP, name=f"pedal({F.name or 'frontal'})")
-    return TransformResult(result=out, source=F, pole=P,
-                           kind=TransformKind.PEDAL)
-
-
-def _require_no_silhouette(x, d, scale, tol):
-    bad = np.abs(d) <= tol * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise PoleOnSilhouetteError(x[i], float(d[i]))
+    return transform(TransformKind.PEDAL, F, P, degeneracy_tol)
 
 
 def anti_orthotomic(F: Frontal, P,
                     degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
                     ) -> TransformResult:
-    """The unique frontal whose orthotomic relative to P is F.
-
-    Hard error (PoleOnSilhouetteError) at any evaluated x where
-    (f(x)-P).nu(x) vanishes relative to ||f(x)-P||.
-    """
-    P = np.asarray(P, dtype=float)
-
-    def ftilde(x):
-        fv, nv, d = _support(F, P, x)
-        r2 = np.einsum("km,km->k", fv - P, fv - P)
-        _require_no_silhouette(x, d, np.sqrt(r2), degeneracy_tol)
-        return fv - (r2 / (2.0 * d))[:, None] * nv
-
-    def nutilde(x):
-        fv, _, d = _support(F, P, x)
-        diff = fv - P
-        r = np.linalg.norm(diff, axis=1)
-        _require_no_silhouette(x, d, r, degeneracy_tol)
-        return diff / r[:, None]
-
-    out = Frontal(domain=F.domain, f=ftilde, nu=nutilde,
-                  ambient_dim=F.ambient_dim, fd_step=TRANSFORM_FD_STEP,
-                  name=f"anti-orthotomic({F.name or 'frontal'})")
-    return TransformResult(result=out, source=F, pole=P,
-                           kind=TransformKind.ANTI_ORTHOTOMIC)
+    """The unique frontal whose orthotomic relative to P is F."""
+    return transform(TransformKind.ANTI_ORTHOTOMIC, F, P, degeneracy_tol)
 
 
 def negative_pedal(G: Frontal, P,
                    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
                    ) -> TransformResult:
     """The unique frontal whose pedal relative to P is G."""
-    P = np.asarray(P, dtype=float)
-
-    def ftilde(x):
-        gv, nv, d = _support(G, P, x)
-        r2 = np.einsum("km,km->k", gv - P, gv - P)
-        _require_no_silhouette(x, d, np.sqrt(r2), degeneracy_tol)
-        return 2.0 * gv - P - (r2 / d)[:, None] * nv
-
-    def nutilde(x):
-        gv, _, d = _support(G, P, x)
-        diff = gv - P
-        r = np.linalg.norm(diff, axis=1)
-        _require_no_silhouette(x, d, r, degeneracy_tol)
-        return diff / r[:, None]
-
-    out = Frontal(domain=G.domain, f=ftilde, nu=nutilde,
-                  ambient_dim=G.ambient_dim, fd_step=TRANSFORM_FD_STEP,
-                  name=f"negative-pedal({G.name or 'frontal'})")
-    return TransformResult(result=out, source=G, pole=P,
-                           kind=TransformKind.NEGATIVE_PEDAL)
-
-
-TRANSFORMS = {
-    TransformKind.ORTHOTOMIC: orthotomic,
-    TransformKind.PEDAL: pedal,
-    TransformKind.ANTI_ORTHOTOMIC: anti_orthotomic,
-    TransformKind.NEGATIVE_PEDAL: negative_pedal,
-}
-
-
-def transform(kind: TransformKind, F: Frontal, P, **kw) -> TransformResult:
-    return TRANSFORMS[kind](F, P, **kw)
+    return transform(TransformKind.NEGATIVE_PEDAL, G, P, degeneracy_tol)
 
 
 def sample_poles(F: Frontal, grid: np.ndarray, count: int,

@@ -72,6 +72,45 @@ class TestTransform:
         assert code == EXIT_DEGENERATE
         assert "degeneracy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pole", ["nan,0", "0,inf", "-inf,0"])
+    def test_non_finite_pole_is_usage_error(self, pole, capsys):
+        code = run(["transform", "--catalog", "circle", "--kind", "pedal",
+                    f"--pole={pole}", "--samples", "8"])
+        assert code == EXIT_USAGE
+        assert "error: bad pole" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["transform", "--catalog", "circle", "--kind", "pedal",
+         "--pole", "0,0"],
+        ["verify", "--suite", "thm1", "--catalog", "circle"],
+        ["ns", "--catalog", "circle", "--bbox=-2,2,-2,2"],
+        ["cahn-hoffman", "--catalog", "circle", "--pole", "0,0"],
+        ["front-check", "--catalog", "circle", "--pole", "0,0"]],
+        ids=lambda c: c[0])
+    @pytest.mark.parametrize("samples", ["-5", "0", "x"])
+    def test_non_positive_samples_is_usage_error(self, command, samples,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--samples", samples])
+        assert exc.value.code == EXIT_USAGE
+        assert "error: argument --samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["transform", "--catalog", "circle", "--kind", "pedal",
+         "--pole", "0,0", "--tol-degeneracy"],
+        ["ns", "--catalog", "circle", "--bbox=-2,2,-2,2", "--tol-ns"],
+        ["cahn-hoffman", "--catalog", "circle", "--pole", "0,0",
+         "--tol-jnu"],
+        ["front-check", "--catalog", "circle", "--pole", "0,0",
+         "--tol-rank"]],
+        ids=lambda c: c[-1])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "x"])
+    def test_bad_tolerance_is_usage_error(self, command, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command + [tol, "--samples", "8"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"error: argument {command[-1]}" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["transform", "--catalog", "cusp", "--kind", "orthotomic",
                 "--pole", "0.1,1.5", "--samples", "128"]
@@ -138,6 +177,12 @@ class TestVerify:
         rep = verify.suite_thm1(catalog("cusp"), samples=128, n_poles=2)
         assert json.loads(capsys.readouterr().out)["poles"] == rep["poles"]
 
+    def test_non_finite_pole_in_list_is_usage_error(self, capsys):
+        code = run(["verify", "--suite", "thm1", "--catalog", "circle",
+                    "--poles", "0.1,0.2;inf,0", "--samples", "32"])
+        assert code == EXIT_USAGE
+        assert "error: bad pole 'inf,0'" in capsys.readouterr().err
+
     def test_one_pole_suite_rejects_several(self, capsys):
         code = run(["verify", "--suite", "thm2", "--catalog", "circle",
                     "--poles", "0.1,0.2;0.3,0.1", "--samples", "32"])
@@ -191,6 +236,22 @@ class TestNs:
         assert run(["ns", "--catalog", "circle", "--bbox=2,-2,-2,2",
                     "--resolution", "8"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("resolution", ["1", "0,5", "x", "3,4,5",
+                                            "2.5", ""])
+    def test_bad_resolution_is_usage_error(self, resolution, capsys):
+        code = run(["ns", "--catalog", "circle", "--bbox=-2,2,-2,2",
+                    "--resolution", resolution, "--samples", "64"])
+        assert code == EXIT_USAGE
+        assert "error: bad --resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bbox", ["-2,inf,-2,2", "nan,2,-2,2",
+                                      "-2,2,-2", "-2,2,-2,x"])
+    def test_bad_bbox_is_usage_error(self, bbox, capsys):
+        code = run(["ns", "--catalog", "circle", f"--bbox={bbox}",
+                    "--resolution", "8", "--samples", "64"])
+        assert code == EXIT_USAGE
+        assert "error: bad --bbox" in capsys.readouterr().err
+
     def test_rejects_sphere(self, capsys):
         assert run(["ns", "--catalog", "sphere", "--bbox=-2,2,-2,2",
                     "--resolution", "8"]) == EXIT_USAGE
@@ -229,6 +290,13 @@ class TestReports:
         assert abs(mid["x"][0]) < 1e-9
         assert mid["is_front"] is False
         assert all(r["consistent"] for r in rows if not r["ambiguous"])
+
+    @pytest.mark.parametrize("command", ["front-check", "cahn-hoffman"])
+    def test_non_finite_pole_is_usage_error(self, command, capsys):
+        code = run([command, "--catalog", "circle", "--pole=nan,0",
+                    "--samples", "8"])
+        assert code == EXIT_USAGE
+        assert "error: bad pole" in capsys.readouterr().err
 
     def test_front_check_pole_required(self, capsys):
         import pytest as _pytest
