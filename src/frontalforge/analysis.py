@@ -250,17 +250,15 @@ def front_equivalence(F: Frontal, P, x, tol: float = 1e-6) -> FrontReport:
 
     is_front is taken from criterion (3); `consistent` records whether all
     three agree; `ambiguous` flags points where any stacked Jacobian has a
-    singular value inside the rank-ambiguity band, where finite-difference
-    rank decisions are unreliable.
+    singular value inside the rank-ambiguity band, where rank decisions are
+    unreliable.  All four Jacobians come from order-1 jets (Frontal.eval).
     """
     x = _point(x, F.param_dim)
     n = F.param_dim
     anti = anti_orthotomic(F, P).result
 
-    Jf = jacobian_f(F, x)[0]
-    Jn = jacobian_nu(F, x)[0]
-    Jft = _fd_jacobian(anti.f, anti.domain, x, anti.fd_step)[0]
-    Jnt = _fd_jacobian(anti.nu, anti.domain, x, anti.fd_step)[0]
+    _, _, Jf, Jn = (a[0] for a in F.eval(x, 1))
+    _, _, Jft, Jnt = (a[0] for a in anti.eval(x, 1))
 
     r1, S1 = _stacked_rank(Jf, Jn, tol)
     r2, S2 = _stacked_rank(Jft, Jnt, tol)

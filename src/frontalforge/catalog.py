@@ -138,13 +138,23 @@ def _circle_cubic(c: float = 1.2) -> Frontal:
 _SQUARE_VERTS = {0: (1.0, -1.0), 2: (1.0, 1.0), 4: (-1.0, 1.0), 6: (-1.0, -1.0)}
 
 
-def _square_xy(t: np.ndarray):
+# d(n1, n2)/ds on the corner segments; edge segments hold the normal fixed.
+_SQUARE_DNORMAL = {0: (1.0, 1.0), 2: (-1.0, 1.0), 4: (-1.0, -1.0),
+                   6: (1.0, -1.0)}
+
+
+def _square_segments(t: np.ndarray):
+    """Segment index 0..7 and the offset u in [0, 1) within it."""
     tau = np.mod(t, 8.0)
     seg = np.floor(tau).astype(int) % 8
-    u = tau - np.floor(tau)
+    return seg, tau - np.floor(tau)
+
+
+def _square_xy(t: np.ndarray):
+    seg, u = _square_segments(t)
     s = smooth_step(u)
-    x = np.empty_like(tau)
-    y = np.empty_like(tau)
+    x = np.empty_like(u)
+    y = np.empty_like(u)
     for k in range(8):
         mk = seg == k
         if not np.any(mk):
@@ -172,13 +182,10 @@ def square_normal_components(t: np.ndarray):
     Never (0, 0): on corner segments it interpolates between adjacent edge
     normals through a diagonal direction.
     """
-    t = np.asarray(t, dtype=float)
-    tau = np.mod(t, 8.0)
-    seg = np.floor(tau).astype(int) % 8
-    u = tau - np.floor(tau)
+    seg, u = _square_segments(np.asarray(t, dtype=float))
     s = smooth_step(u)
-    n1 = np.empty_like(tau)
-    n2 = np.empty_like(tau)
+    n1 = np.empty_like(u)
+    n2 = np.empty_like(u)
     for k in range(8):
         mk = seg == k
         if not np.any(mk):
@@ -213,21 +220,36 @@ def _square() -> Frontal:
         return np.stack([n1 / nrm, n2 / nrm], axis=-1)
 
     def jac_f(x):
-        t = x[:, 0]
-        tau = np.mod(t, 8.0)
-        seg = np.floor(tau).astype(int) % 8
-        u = tau - np.floor(tau)
+        seg, u = _square_segments(x[:, 0])
         ds = 2.0 * smooth_step_deriv(u)
-        dx = np.zeros_like(tau)
-        dy = np.zeros_like(tau)
+        dx = np.zeros_like(u)
+        dy = np.zeros_like(u)
         dy[seg == 1] = ds[seg == 1]
         dx[seg == 3] = -ds[seg == 3]
         dy[seg == 5] = -ds[seg == 5]
         dx[seg == 7] = ds[seg == 7]
         return np.stack([dx, dy], axis=-1)[:, :, None]
 
+    def jac_nu(x):
+        # (I - nu nu^T) dn / |n| for the raw normal n = (n1, n2)
+        t = x[:, 0]
+        n1, n2 = square_normal_components(t)
+        nrm = np.hypot(n1, n2)
+        e1, e2 = n1 / nrm, n2 / nrm
+        seg, u = _square_segments(t)
+        ds = smooth_step_deriv(u)
+        dn1 = np.zeros_like(u)
+        dn2 = np.zeros_like(u)
+        for k, (a, b) in _SQUARE_DNORMAL.items():
+            mk = seg == k
+            dn1[mk] = a * ds[mk]
+            dn2[mk] = b * ds[mk]
+        along = e1 * dn1 + e2 * dn2
+        return np.stack([(dn1 - along * e1) / nrm,
+                         (dn2 - along * e2) / nrm], axis=-1)[:, :, None]
+
     return Frontal(domain=interval(0.0, 8.0, periodic=True), f=f, nu=nu,
-                   ambient_dim=2, jac_f=jac_f, name="square")
+                   ambient_dim=2, jac_f=jac_f, jac_nu=jac_nu, name="square")
 
 
 def _cusp() -> Frontal:

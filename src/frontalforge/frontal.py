@@ -48,13 +48,23 @@ class ParamDomain:
         return self.lo.shape[0]
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Wrap periodic axes into [lo, hi); non-periodic axes pass through."""
+        """Wrap periodic axes into [lo, hi); non-periodic axes pass through.
+
+        Points already in [lo, hi) keep their value, so wrapping twice is
+        wrapping once.  np.mod can round a tiny negative offset up to the
+        full period; such a result, equal to hi, becomes lo.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         out = x.copy()
         for j in range(self.dim):
             if self.periodic[j]:
-                period = self.hi[j] - self.lo[j]
-                out[:, j] = self.lo[j] + np.mod(x[:, j] - self.lo[j], period)
+                lo, hi = self.lo[j], self.hi[j]
+                col = x[:, j]
+                outside = (col < lo) | (col >= hi)
+                if outside.any():
+                    w = lo + np.mod(col[outside] - lo, hi - lo)
+                    w[w >= hi] = lo
+                    out[outside, j] = w
         return out
 
     def contains(self, x: np.ndarray, atol: float = 1e-12) -> np.ndarray:
@@ -101,7 +111,10 @@ class Frontal:
 
     f, nu: vectorized evaluators (k, n) -> (k, m).  jac_f / jac_nu, when
     given, are analytic Jacobian evaluators (k, n) -> (k, m, n); otherwise
-    central finite differences with step fd_step are used.
+    central finite differences with step fd_step are used.  jet, when given,
+    evaluates (f, nu) and, at order 1, (Jf, Jnu) together on wrapped points;
+    `eval` then uses it, and f and nu are its order-0 parts.  All evaluators
+    receive points already wrapped into the domain.
     """
 
     domain: ParamDomain
@@ -113,6 +126,7 @@ class Frontal:
     fd_step: float = DEFAULT_FD_STEP
     name: str = ""
     params: dict = field(default_factory=dict)
+    jet: Optional[Callable[[np.ndarray, int], tuple]] = None
 
     @property
     def param_dim(self) -> int:
@@ -123,6 +137,31 @@ class Frontal:
 
     def eval_nu(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.nu(self.domain.wrap(x)), dtype=float)
+
+    def eval(self, x: np.ndarray, order: int = 0) -> tuple:
+        """(f, nu) at the points x, each (k, m); at order 1 also
+        (Jf, Jnu), each (k, m, n).  x is wrapped once."""
+        return self.eval_wrapped(self.domain.wrap(x), order)
+
+    def eval_wrapped(self, x: np.ndarray, order: int = 0) -> tuple:
+        """`eval` at points already wrapped into the domain."""
+        if order not in (0, 1):
+            raise ValueError(f"jet order must be 0 or 1, not {order!r}")
+        if self.jet is not None:
+            return self.jet(x, order)
+        fv = np.asarray(self.f(x), dtype=float)
+        nv = fv if self.nu is self.f else np.asarray(self.nu(x), dtype=float)
+        if order == 0:
+            return fv, nv
+        Jf = self._jacobian(self.jac_f, self.f, x)
+        if self.jac_nu is self.jac_f and self.nu is self.f:
+            return fv, nv, Jf, Jf
+        return fv, nv, Jf, self._jacobian(self.jac_nu, self.nu, x)
+
+    def _jacobian(self, jac, fun, x):
+        if jac is not None:
+            return np.asarray(jac(x), dtype=float)
+        return _fd_jacobian(fun, self.domain, x, self.fd_step)
 
 
 @dataclass(frozen=True)
@@ -146,8 +185,10 @@ class SampledMap:
 
 def sample(F: Frontal, x: np.ndarray, with_gauss: bool = True) -> SampledMap:
     x = F.domain.wrap(x)
-    vals = F.eval_f(x)
-    gauss = F.eval_nu(x) if with_gauss else None
+    if with_gauss:
+        vals, gauss = F.eval_wrapped(x)
+    else:
+        vals, gauss = np.asarray(F.f(x), dtype=float), None
     return SampledMap(params=x, values=vals, gauss=gauss)
 
 
@@ -206,18 +247,12 @@ def _fd_jacobian(fun, domain: ParamDomain, x: np.ndarray, h: float) -> np.ndarra
 
 def jacobian_f(F: Frontal, x: np.ndarray) -> np.ndarray:
     """Jacobian of f at each point of x, shape (k, m, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if F.jac_f is not None:
-        return np.asarray(F.jac_f(F.domain.wrap(x)), dtype=float)
-    return _fd_jacobian(F.f, F.domain, x, F.fd_step)
+    return F.eval(x, 1)[2]
 
 
 def jacobian_nu(F: Frontal, x: np.ndarray) -> np.ndarray:
     """Jacobian of nu at each point of x, shape (k, m, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if F.jac_nu is not None:
-        return np.asarray(F.jac_nu(F.domain.wrap(x)), dtype=float)
-    return _fd_jacobian(F.nu, F.domain, x, F.fd_step)
+    return F.eval(x, 1)[3]
 
 
 @dataclass(frozen=True)
@@ -235,17 +270,21 @@ class FrontalCheck:
 
 
 def check_frontal(F: Frontal, grid: np.ndarray,
-                  tol: float = DEFAULT_FRONTAL_TOL) -> FrontalCheck:
+                  tol: float = DEFAULT_FRONTAL_TOL,
+                  jet: Optional[tuple] = None) -> FrontalCheck:
     """Max over grid points and Jacobian columns of |df_column . nu|.
 
-    Also records how far nu strays from unit norm on the grid.
+    Also records how far nu strays from unit norm on the grid.  jet, when
+    given, is F's order-1 jet at the grid points (see Frontal.eval), so a
+    caller that needs the jet anyway evaluates F once.
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
-    nu = F.eval_nu(grid)
+    if jet is None:
+        jet = F.eval_wrapped(grid, 1)
+    _, nu, J, _ = jet
     unit_defect = float(np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)))
-    J = jacobian_f(F, grid)
     # residuals[k, j] = | J[k,:,j] . nu[k] |
     res = np.abs(np.einsum("kmj,km->kj", J, nu))
     flat = int(np.argmax(res))

@@ -79,8 +79,7 @@ def ns_membership(F: Frontal, P, grid: np.ndarray,
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
     P = np.asarray(P, dtype=float)
-    fv = F.eval_f(grid)
-    nv = F.eval_nu(grid)
+    fv, nv = F.eval_wrapped(grid)
     d = np.einsum("km,km->k", fv - P, nv)
     scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
     tol = _ns_tol(scale, tol_frac)
@@ -129,8 +128,7 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
     xs, ys = raster.centers()
 
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
-    fv = F.eval_f(grid)
-    nv = F.eval_nu(grid)
+    fv, nv = F.eval_wrapped(grid)
     scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
     tol = _ns_tol(scale, tol_frac)
 

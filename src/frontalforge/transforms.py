@@ -25,10 +25,6 @@ from .frontal import Frontal
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
-# Composed transform maps pick up ~1/d^2 derivative growth near small
-# support margins; a smaller central-difference step keeps truncation error
-# below the verification tolerances without hitting roundoff.
-TRANSFORM_FD_STEP = 1e-7
 
 
 class TransformKind(enum.Enum):
@@ -61,55 +57,111 @@ def _raise_at_first(bad, x, d, error):
         raise error(x[i], float(d[i]))
 
 
+def _dot(a, b):
+    return np.einsum("km,km->k", a, b)
+
+
+def _grad(J, v):
+    """v^T J row by row: (k, m, n), (k, m) -> (k, n)."""
+    return np.einsum("kmj,km->kj", J, v)
+
+
+def _outer(v, g):
+    """v (x) g row by row: (k, m), (k, n) -> (k, m, n)."""
+    return v[:, :, None] * g[:, None, :]
+
+
+def _unit_jacobian(e, Jw, norm):
+    """Jacobian of w/||w|| from Jw = J(w), e = w/||w|| and norm = ||w||:
+    (I - e e^T) Jw / ||w||."""
+    out = _outer(e, -_grad(Jw, e))
+    out += Jw
+    out /= norm[:, None, None]
+    return out
+
+
 def transform(kind: TransformKind, F: Frontal, P,
               degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
               ) -> TransformResult:
     """The `kind` transform of F relative to P (see the module docstring).
 
-    The result shares F's domain, so its evaluators call F's raw f and nu on
-    points that its own eval_f, eval_nu or Jacobian has already wrapped.
+    The result shares F's domain.  Its jet evaluates F's jet once, at the
+    same order, on points that the result's own eval has already wrapped,
+    and carries first derivatives through by the chain rule:
+
+      inverse kinds, u = f-P, c = ||u||^2/(lambda d):
+        Jf' = (2/lambda) Jf - nu (x) grad c - c Jnu,
+        grad c = (2 Jf^T u - ||u||^2 grad d / d) / (lambda d),
+        Jnu' = (I - nu' nu'^T) Jf / ||u||;
+      forward kinds, w = 2 d nu + P - f:
+        Jf' = lambda (nu (x) grad d + d Jnu),
+        Jnu' = (I - nu' nu'^T) (2 (nu (x) grad d + d Jnu) - Jf) / ||w||;
+
+    with grad d = Jf^T nu + Jnu^T u.
     """
     lam, inverse = _FAMILY[kind]
     P = np.asarray(P, dtype=float)
 
-    def support(x):
-        fv = np.asarray(F.f(x), dtype=float)
-        nv = np.asarray(F.nu(x), dtype=float)
-        return fv, nv, np.einsum("km,km->k", fv - P, nv)
-
     if inverse:
-        def check(x, d, r):
+        def jet(x, order=0):
+            fv, nv, *J = F.eval_wrapped(x, order)
+            u = fv - P
+            d = _dot(u, nv)
+            r2 = _dot(u, u)
+            r = np.linalg.norm(u, axis=1)
             bad = np.abs(d) <= degeneracy_tol * np.maximum(r, 1e-300)
             _raise_at_first(bad, x, d, PoleOnSilhouetteError)
-
-        def f(x):
-            fv, nv, d = support(x)
-            r2 = np.einsum("km,km->k", fv - P, fv - P)
-            check(x, d, np.sqrt(r2))
+            c = r2 / (lam * d)
             # a branch: (2/lam) f - (2/lam - 1) P can flip the sign of a zero
             base = fv if lam == 2.0 else 2.0 * fv - P
-            return base - (r2 / (lam * d))[:, None] * nv
+            ft = base - c[:, None] * nv
+            nt = u / r[:, None]
+            if order == 0:
+                return ft, nt
+            Jf, Jn = J
+            grad_d = _grad(Jf, nv) + _grad(Jn, u)
+            grad_c = (2.0 * _grad(Jf, u) - r2[:, None] * grad_d / d[:, None]) \
+                / (lam * d)[:, None]
+            Jft = (2.0 / lam) * Jf
+            Jft -= _outer(nv, grad_c)
+            Jft -= c[:, None, None] * Jn
+            return ft, nt, Jft, _unit_jacobian(nt, Jf, r)
 
-        def nu(x):
-            fv, _, d = support(x)
-            diff = fv - P
-            r = np.linalg.norm(diff, axis=1)
-            check(x, d, r)
-            return diff / r[:, None]
-    else:
         def f(x):
-            _, nv, d = support(x)
-            return lam * d[:, None] * nv + P
-
-        def nu(x):
-            fv, nv, d = support(x)
+            return jet(x)[0]
+    else:
+        def jet(x, order=0):
+            fv, nv, *J = F.eval_wrapped(x, order)
+            u = fv - P
+            d = _dot(u, nv)
             _raise_at_first(np.abs(d) <= degeneracy_tol, x, d,
                             GaussDegenerateError)
-            diff = 2.0 * d[:, None] * nv + P - fv  # orthotomic minus source
-            return diff / np.linalg.norm(diff, axis=1)[:, None]
+            nt = 2.0 * d[:, None] * nv + P - fv  # orthotomic minus source
+            norm = np.linalg.norm(nt, axis=1)
+            nt /= norm[:, None]
+            ft = lam * d[:, None] * nv + P
+            if order == 0:
+                return ft, nt
+            Jf, Jn = J
+            grad_d = _grad(Jf, nv) + _grad(Jn, u)
+            Jfoot = _outer(nv, grad_d)  # J(d nu)
+            Jfoot += d[:, None, None] * Jn
+            Jw = 2.0 * Jfoot
+            Jw -= Jf
+            Jnt = _unit_jacobian(nt, Jw, norm)
+            Jfoot *= lam
+            return ft, nt, Jfoot, Jnt
+
+        def f(x):
+            # the image exists where the Gauss map degenerates (d = 0)
+            fv, nv = F.eval_wrapped(x)
+            return lam * _dot(fv - P, nv)[:, None] * nv + P
+
+    def nu(x):
+        return jet(x)[1]
 
     out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
-                  fd_step=TRANSFORM_FD_STEP,
+                  fd_step=F.fd_step, jet=jet,
                   name=f"{kind.value}({F.name or 'frontal'})")
     return TransformResult(result=out, source=F, pole=P, kind=kind)
 
@@ -154,8 +206,7 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     when the sampled margin is large.
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
-    fv = F.eval_f(grid)
-    nv = F.eval_nu(grid)
+    fv, nv = F.eval_wrapped(grid)
     lo = fv.min(axis=0)
     hi = fv.max(axis=0)
     diag = float(np.linalg.norm(hi - lo))

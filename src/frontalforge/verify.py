@@ -44,6 +44,14 @@ def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None):
     return np.atleast_2d(np.asarray(poles, dtype=float))
 
 
+def _checked(G: Frontal, grid: np.ndarray, tol: float = 1e-6):
+    """G's f and nu on the grid and the max residual of its frontal
+    condition, all from one order-1 evaluation of G."""
+    jet = G.eval(grid, 1)
+    return jet[0], jet[1], check_frontal(G, grid, tol=tol,
+                                         jet=jet).max_residual
+
+
 def suite_frontal_condition(F: Frontal, samples: int = 2048,
                             tol: float = 1e-6) -> dict:
     """The tangency condition df . nu = 0 on a sample grid."""
@@ -69,17 +77,14 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3."""
     grid = grid_for(F, samples, interior_margin=1e-3)
     poles = _poles_for(F, grid, n_poles, poles)
-    ft = F.eval_f(grid)
-    nt = F.eval_nu(grid)
+    ft, nt = F.eval(grid)
     worst_identity = 0.0
     worst_frontal = 0.0
     min_separation = np.inf
     for P in poles:
-        res = orthotomic(F, P).result
-        worst_frontal = max(worst_frontal,
-                            check_frontal(res, grid, tol=frontal_tol).max_residual)
-        fv = res.eval_f(grid)
-        nv = res.eval_nu(grid)
+        fv, nv, residual = _checked(orthotomic(F, P).result, grid,
+                                    frontal_tol)
+        worst_frontal = max(worst_frontal, residual)
         d_tilde = np.einsum("km,km->k", ft - P, nt)
         lhs = np.linalg.norm(fv - ft, axis=1) \
             * np.einsum("km,km->k", fv - P, nv)
@@ -113,10 +118,8 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
              "roundtrip": 0.0}
     for P in poles:
         anti = anti_orthotomic(F, P).result
-        worst["frontal"] = max(worst["frontal"],
-                               check_frontal(anti, grid).max_residual)
-        ftv = anti.eval_f(grid)
-        ntv = anti.eval_nu(grid)
+        ftv, ntv, residual = _checked(anti, grid)
+        worst["frontal"] = max(worst["frontal"], residual)
         r = np.linalg.norm(fv - P, axis=1)
         supp = np.einsum("km,km->k", ftv - P, ntv)
         worst["support"] = max(worst["support"],
@@ -125,12 +128,12 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
                     - np.linalg.norm(ftv - fv, axis=1))
         worst["equidistance"] = max(worst["equidistance"], float(np.max(eq)))
         # orthotomic of the anti-orthotomic restores F ...
-        back1 = orthotomic(anti, P).result.eval_f(grid)
+        back1 = orthotomic(anti, P).result
         # ... and anti-orthotomic of the orthotomic restores F
-        back2 = anti_orthotomic(orthotomic(F, P).result, P).result.eval_f(grid)
-        rt = max(float(np.max(np.linalg.norm(back1 - fv, axis=1))),
-                 float(np.max(np.linalg.norm(back2 - fv, axis=1))))
-        worst["roundtrip"] = max(worst["roundtrip"], rt)
+        back2 = anti_orthotomic(orthotomic(F, P).result, P).result
+        for back in (back1, back2):
+            worst["roundtrip"] = max(worst["roundtrip"], float(np.max(
+                np.linalg.norm(back.eval_f(grid) - fv, axis=1))))
     tols = {"frontal": 1e-6, "support": 1e-8, "equidistance": 1e-9,
             "roundtrip": 1e-8}
     return {

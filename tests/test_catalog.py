@@ -6,6 +6,7 @@ import pytest
 from frontalforge.catalog import (_cube, catalog, catalog_names, smooth_step,
                                   smooth_step_deriv, square_normal_components)
 from frontalforge.errors import CatalogParameterError, UnknownCatalogError
+from frontalforge.frontal import _fd_jacobian
 from frontalforge.verify import grid_for
 
 
@@ -162,3 +163,12 @@ class TestSquare:
         x, y = fv[:, 0], fv[:, 1]
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         assert abs(area - 4.0) < 1e-6
+
+    def test_jac_nu_matches_fd_on_every_segment(self):
+        F = catalog("square")
+        u = np.random.default_rng(8).uniform(1e-3, 1.0 - 1e-3, (8, 16))
+        t = (np.arange(8.0)[:, None] + u).reshape(-1, 1)
+        fd = _fd_jacobian(F.nu, F.domain, t, F.fd_step)
+        J = F.jac_nu(t)
+        np.testing.assert_allclose(J, fd, atol=1e-8)
+        assert np.all(J[np.floor(t[:, 0]) % 2 == 1] == 0.0)

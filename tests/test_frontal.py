@@ -42,6 +42,21 @@ class TestParamDomain:
         with pytest.raises(ValueError):
             interval(1.0, 1.0)
 
+    def test_wrap_tiny_negative_lands_on_lo(self):
+        # np.mod(-1e-20, 2 pi) rounds to 2 pi itself
+        assert catalog("circle").domain.wrap([[-1e-20]])[0, 0] == 0.0
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 2.0 * np.pi), (-0.3, 0.7)])
+    def test_wrap_idempotent_near_ends(self, lo, hi):
+        dom = interval(lo, hi, periodic=True)
+        rng = np.random.default_rng(7)
+        offsets = rng.uniform(-1e-12, 1e-12, 5000) * rng.choice(
+            [1.0, 1e-6, 1e-12], 5000)
+        x = np.concatenate([lo + offsets, hi + offsets])[:, None]
+        w = dom.wrap(x)
+        assert np.all((w >= lo) & (w < hi))
+        np.testing.assert_array_equal(dom.wrap(w), w)
+
 
 class TestJacobians:
     def test_circle_analytic(self):

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
 from frontalforge.errors import GaussDegenerateError, PoleOnSilhouetteError
-from frontalforge.frontal import Frontal, ParamDomain, check_frontal, interval
+from frontalforge.frontal import (Frontal, ParamDomain, _fd_jacobian,
+                                  check_frontal, interval)
 from frontalforge.silhouette import ns_membership
 from frontalforge.transforms import (TransformKind, anti_orthotomic,
                                      negative_pedal, orthotomic, pedal,
@@ -193,6 +196,86 @@ class TestSingleWrap:
         out = getattr(back, which)(g)
         assert calls == [g.shape]
         np.testing.assert_allclose(out, expected, atol=1e-8)
+
+
+def _depth_two(F, P):
+    return anti_orthotomic(orthotomic(F, P).result, P).result
+
+
+JET_CASES = [(k.value, lambda F, P, k=k: transform(k, F, P).result)
+             for k in TransformKind] + [("anti-orthotomic(orthotomic)",
+                                         _depth_two)]
+
+
+def _interior_points(F, count, seed):
+    """Seeded points at least 1e-2 inside non-periodic ends; on the square,
+    at least 1e-3 away from the integer breakpoints of its segments."""
+    dom = F.domain
+    rng = np.random.default_rng(seed)
+    lo = np.where(dom.periodic, dom.lo, dom.lo + 1e-2)
+    hi = np.where(dom.periodic, dom.hi, dom.hi - 1e-2)
+    x = rng.uniform(lo, hi, (count, F.param_dim))
+    if F.name == "square":
+        x[:, 0] = np.floor(x[:, 0]) + rng.uniform(1e-3, 1.0 - 1e-3, count)
+    return x
+
+
+class TestJetOracle:
+    """Order-1 jets against central differences of their order-0 parts."""
+
+    @pytest.mark.parametrize("case", [c for c, _ in JET_CASES] + ["source"])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_jacobians_match_central_differences(self, name, case):
+        F = catalog(name)
+        P = sample_poles(F, _grid(F, 256), 1)[0]
+        G = F if case == "source" else dict(JET_CASES)[case](F, P)
+        x = _interior_points(F, 64, seed=len(name))
+        fv, nv, Jf, Jn = G.eval(x, 1)
+        np.testing.assert_array_equal(fv, G.eval_f(x))
+        np.testing.assert_array_equal(nv, G.eval_nu(x))
+        for J, fun in ((Jf, G.f), (Jn, G.nu)):
+            fd = _fd_jacobian(fun, G.domain, x, F.fd_step)
+            assert J.shape == (64, F.ambient_dim, F.param_dim)
+            assert np.max(np.abs(J - fd) / (1.0 + np.abs(J))) <= 1e-6
+
+
+def _counting(F, calls):
+    """F with every evaluator counting its calls into `calls`."""
+    def counted(key, fun):
+        def call(x):
+            calls[key] += 1
+            return fun(x)
+        return call
+
+    return dataclasses.replace(F, **{key: counted(key, getattr(F, key))
+                                     for key in ("f", "nu", "jac_f",
+                                                 "jac_nu")})
+
+
+class TestSingleEvaluation:
+    @pytest.mark.parametrize("case", [c for c, _ in JET_CASES])
+    @pytest.mark.parametrize("name", ["circle", "sphere"])
+    def test_each_source_evaluator_runs_once(self, name, case):
+        calls = Counter()
+        F = _counting(catalog(name), calls)
+        G = dict(JET_CASES)[case](F, sample_poles(F, _grid(F, 64), 1)[0])
+        g = _grid(F, 64)
+        calls.clear()
+        G.eval(g, 0)
+        assert calls == {"f": 1, "nu": 1}
+        calls.clear()
+        G.eval(g, 1)
+        assert calls == {"f": 1, "nu": 1, "jac_f": 1, "jac_nu": 1}
+
+    def test_shared_evaluator_runs_once(self):
+        calls = Counter()
+        F = catalog("sphere")
+        g = _grid(F, 64)
+        F = dataclasses.replace(F, f=_counting(F, calls).f)
+        F = dataclasses.replace(F, nu=F.f, jac_nu=F.jac_f)
+        fv, nv, Jf, Jn = F.eval(g, 1)
+        assert calls == {"f": 1}
+        assert nv is fv and Jn is Jf
 
 
 # sha256 of `frontalforge transform --out` (Gauss columns included, 256
