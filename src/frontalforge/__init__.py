@@ -2,14 +2,12 @@
 negative pedal), no-silhouette sets, the generalized support-vector formula,
 and front criteria, with a catalog of analytic test frontals."""
 
-from .analysis import (CahnHoffmanReport, FrontReport, NuSplit, cahn_hoffman,
-                       front_equivalence, gamma_gradient, is_front_at,
-                       nu_split, opening_residual)
+from .analysis import (CahnHoffmanReport, FrontReport, cahn_hoffman,
+                       front_equivalence, is_front_at, opening_residual)
 from .catalog import catalog, catalog_names, smooth_step
-from .errors import (CatalogParameterError, DegenerateNu2Error, DomainError,
-                     FrontalForgeError, GaussDegenerateError,
-                     PoleAtImageError, PoleOnSilhouetteError,
-                     SingularGaussMapError, UnknownCatalogError)
+from .errors import (CatalogParameterError, DomainError, FrontalForgeError,
+                     GaussDegenerateError, PoleOnSilhouetteError,
+                     UnknownCatalogError)
 from .frontal import (Frontal, FrontalCheck, ParamDomain, SampledMap,
                       check_frontal, interval, jacobian_f, jacobian_nu,
                       sample)

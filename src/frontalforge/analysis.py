@@ -1,18 +1,23 @@
-"""Differential analysis of frontals relative to a pole P.
+"""Differential analysis of frontals relative to a pole P, batched over
+parameter points.
 
-Contents:
-  * gamma_gradient  - radial support function gamma(x) = ||g(x)-P|| and its
-    parameter-coordinate gradient (chain rule or finite differences).
-  * nu_split        - splitting of nu(x) into tangential/normal parts with
-    respect to an induced Gauss direction.
-  * cahn_hoffman    - the vector formula equating the negative-pedal offset
-    f~(x) - g(x) with the inverse-transpose Gauss-Jacobian applied to the
-    gradient of gamma, checked against the direct computation.
+Each entry point takes a (k, n) array of points, evaluates the order-1 jets
+it needs once for all k rows, and returns per-row arrays together with a
+per-row mask marking the rows where the statement it checks does not apply:
+
+  * cahn_hoffman     - the vector formula equating the negative-pedal offset
+    f~ - g with the inverse-transpose Gauss-map Jacobian applied to the
+    gradient of gamma = ||g - P||, next to the direct computation; masked
+    (`singular`) where the Gauss map nu~ = (g-P)/gamma is singular.
   * opening_residual - the coefficient identity certifying that the radial
     distance differential lies in the module spanned by the Gauss-map
-    component differentials (valid even at Gauss-map singularities).
+    differentials (valid even at Gauss-map singularities); NaN where the
+    normal coefficient nu2 = nu . nu~ vanishes.
   * is_front_at / front_equivalence - the rank criteria distinguishing fronts
-    from mere frontals, and their three-way equivalence.
+    from mere frontals, and their three-way equivalence; `ambiguous` marks
+    rows with a singular value inside the rank-ambiguity band.
+
+No tangent frame enters: the formulas are written in ambient coordinates.
 """
 from __future__ import annotations
 
@@ -20,251 +25,181 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateNu2Error, PoleAtImageError,
-                     SingularGaussMapError)
-from .frontal import Frontal, _fd_jacobian, jacobian_f, jacobian_nu
-from .linalg import TangentFrame, cofactor, numeric_rank, singular_values, tangent_frame
-from .transforms import anti_orthotomic, negative_pedal
+from .frontal import Frontal
+from .linalg import numeric_rank, singular_values
+from .transforms import (_dot, _grad, _unit_jacobian, anti_orthotomic,
+                         negative_pedal)
+
+# Unused here; bound because perfbench/tracer.py patches them in this module.
+from .frontal import _fd_jacobian, jacobian_f, jacobian_nu  # noqa: F401
+from .linalg import cofactor, tangent_frame  # noqa: F401
 
 DEFAULT_JNU_TOL = 1e-8
 RANK_SCALE_FLOOR = 1.0
 AMBIGUOUS_BAND = (1e-8, 1e-4)
 
 
-def _point(x, n):
+def _rows(x, n: int) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape != (1, n):
-        raise ValueError(f"expected a single parameter point of dim {n}")
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"expected parameter points of shape (k, {n}), "
+                         f"got {x.shape}")
     return x
-
-
-def gamma_gradient(G: Frontal, P, x, mode: str = "chain"):
-    """gamma(x) = ||g(x)-P|| and its gradient in parameter coordinates.
-
-    mode="chain" uses the Jacobian of g (analytic when available);
-    mode="fd" central-differences gamma directly.  The two agree to the
-    finite-difference tolerance and serve as mutual cross-checks.
-    """
-    x = _point(x, G.param_dim)
-    P = np.asarray(P, dtype=float)
-    diff = (G.eval_f(x) - P)[0]
-    gamma = float(np.linalg.norm(diff))
-    if gamma <= 1e-12:
-        raise PoleAtImageError(f"pole coincides with image point at x={x[0]!r}")
-    if mode == "chain":
-        J = jacobian_f(G, x)[0]  # (m, n)
-        grad = J.T @ diff / gamma
-    elif mode == "fd":
-        def gfun(t):
-            return np.linalg.norm(G.eval_f(t) - P, axis=1)[:, None]
-
-        grad = _fd_jacobian(gfun, G.domain, x, G.fd_step)[0, 0, :]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return gamma, grad
-
-
-@dataclass(frozen=True)
-class NuSplit:
-    """nu(x) = frame.basis @ nu1 + nu2 * frame.base."""
-
-    frame: TangentFrame
-    nu1: np.ndarray
-    nu2: float
-
-    def reassemble(self) -> np.ndarray:
-        return self.frame.to_ambient(self.nu1) + self.nu2 * self.frame.base
-
-
-def nu_split(F: Frontal, x, nu_tilde_x) -> NuSplit:
-    """Split nu(x) into components tangent/normal to the direction
-    nu_tilde_x on the sphere."""
-    x = _point(x, F.param_dim)
-    frame = tangent_frame(nu_tilde_x)
-    nv = F.eval_nu(x)[0]
-    return NuSplit(frame=frame, nu1=frame.project(nv),
-                   nu2=float(nv @ frame.base))
 
 
 @dataclass(frozen=True)
 class CahnHoffmanReport:
-    x: np.ndarray
-    direct: np.ndarray
-    formula: np.ndarray
-    residual: float
-    det_jnu: float
-    jnu_inv_norm: float
-    gamma: float
-    grad_gamma: np.ndarray
-    gauss_direction: np.ndarray
+    """Per-row results over k points; `formula` and `residual` are NaN on
+    `singular` rows."""
 
-
-def _gauss_direction_map(G: Frontal, P):
-    P = np.asarray(P, dtype=float)
-
-    def nutilde(t):
-        diff = G.eval_f(t) - P
-        return diff / np.linalg.norm(diff, axis=1)[:, None]
-
-    return nutilde
-
-
-def induced_gauss_jacobian(G: Frontal, P, x) -> np.ndarray:
-    """Ambient Jacobian (m, n) of x -> (g(x)-P)/||g(x)-P|| by central
-    differences."""
-    x = _point(x, G.param_dim)
-    return _fd_jacobian(_gauss_direction_map(G, P), G.domain, x, G.fd_step)[0]
+    x: np.ndarray                # (k, n)
+    direct: np.ndarray           # (k, m) f~ - g from the negative pedal
+    formula: np.ndarray          # (k, m) (J nu~)^+T grad(gamma)
+    residual: np.ndarray         # (k,) ||direct - formula||
+    det_jnu: np.ndarray          # (k,) |det J nu~|, the product of its sigmas
+    jnu_inv_norm: np.ndarray     # (k,) 1 / sigma_min (inf where it is 0)
+    gamma: np.ndarray            # (k,) ||g - P||
+    grad_gamma: np.ndarray       # (k, n)
+    gauss_direction: np.ndarray  # (k, m) nu~ = (g - P) / gamma
+    singular: np.ndarray         # (k,) det_jnu <= jnu_tol
 
 
 def cahn_hoffman(G: Frontal, P, x,
                  jnu_tol: float = DEFAULT_JNU_TOL) -> CahnHoffmanReport:
     """Compare the two computations of the negative-pedal offset f~ - g.
 
-    `direct` comes from the negative-pedal formula.  `formula` is
-    frame_basis @ (C @ grad_gamma) / det(A) where A is the Gauss-map Jacobian
-    expressed between parameter coordinates and the tangent frame at the
-    Gauss direction, and C its cofactor matrix (so C/det = inverse
-    transpose).  By construction `formula` has zero component along the
-    Gauss direction.
+    `direct` comes from the negative-pedal formula (which raises
+    PoleOnSilhouetteError unless P is in the NS set of G at every row).
+    `formula` is U S^-1 V^T grad(gamma) from the SVD J nu~ = U S V^T of the
+    ambient Gauss-map Jacobian J nu~ = (I - nu~ nu~^T) Jg / gamma: the
+    Moore-Penrose solution w of J nu~^T w = grad(gamma) with w orthogonal
+    to nu~, i.e. the inverse transpose of J nu~ read on the tangent space.
+    The same singular values give |det J nu~| and the condition bound.
     """
-    x = _point(x, G.param_dim)
+    x = _rows(x, G.param_dim)
     P = np.asarray(P, dtype=float)
-    n = G.param_dim
-
-    gamma, grad = gamma_gradient(G, P, x)
-    nt = (G.eval_f(x)[0] - P) / gamma
-    frame = tangent_frame(nt / np.linalg.norm(nt))
-    J_amb = induced_gauss_jacobian(G, P, x)  # (m, n)
-    A = frame.basis.T @ J_amb  # (n, n)
-    det = float(np.linalg.det(A))
-    if abs(det) <= jnu_tol:
-        raise SingularGaussMapError(x[0], det)
-    coeffs = cofactor(A) @ grad / det  # ((A)^-1)^t grad
-    formula = frame.to_ambient(coeffs)
-    sv = singular_values(A)
-    inv_norm = float(1.0 / sv[-1]) if sv[-1] > 0.0 else np.inf
-
-    ftilde = negative_pedal(G, P).result
-    direct = ftilde.eval_f(x)[0] - G.eval_f(x)[0]
-    return CahnHoffmanReport(x=x[0], direct=direct, formula=formula,
-                             residual=float(np.linalg.norm(direct - formula)),
-                             det_jnu=det, jnu_inv_norm=inv_norm, gamma=gamma,
-                             grad_gamma=grad, gauss_direction=nt)
+    ftilde = negative_pedal(G, P).result.eval_f(x)
+    g, _, Jg, _ = G.eval(x, 1)
+    u = g - P
+    gamma = np.linalg.norm(u, axis=1)
+    nt = u / gamma[:, None]
+    grad = _grad(Jg, nt)
+    U, sv, Vt = np.linalg.svd(_unit_jacobian(nt, Jg, gamma),
+                              full_matrices=False)
+    det = np.prod(sv, axis=1)
+    singular = det <= jnu_tol
+    smin = sv[:, -1]
+    inv_norm = np.divide(1.0, smin, out=np.full_like(smin, np.inf),
+                         where=smin > 0.0)
+    # det > jnu_tol >= 0 on the other rows, so each of their sigmas is > 0
+    coeffs = np.einsum("kij,kj->ki", Vt, grad) \
+        / np.where(singular[:, None], np.nan, sv)
+    formula = np.einsum("kmi,ki->km", U, coeffs)
+    direct = ftilde - g
+    return CahnHoffmanReport(
+        x=x, direct=direct, formula=formula,
+        residual=np.linalg.norm(direct - formula, axis=1), det_jnu=det,
+        jnu_inv_norm=inv_norm, gamma=gamma, grad_gamma=grad,
+        gauss_direction=nt, singular=singular)
 
 
 def opening_residual(F: Frontal, P, x,
-                     nu2_tol: float = 1e-9) -> float:
-    """Max-norm residual of the coefficient identity
+                     nu2_tol: float = 1e-9) -> np.ndarray:
+    """Max-norm residual per row of the coefficient identity
 
-        sum_i nu1_i(x) * gamma(x) * grad(nt_i)(x) + |nu2(x)| * grad(gamma)(x)
+        gamma sign(nu2) (nu - nu2 nu~)^T J nu~ + |nu2| grad(gamma) = 0,
 
-    where nt = (f-P)/||f-P|| is the Gauss direction of the anti-orthotomic,
-    nt_i its components in the tangent frame at nt(x), and
-    gamma(x) = ||f(x)-P|| / 2 (so that f - P = 2 gamma nt).  All gradients
+    NaN where |nu2| <= nu2_tol, the rows where its coefficient is undefined
+    (np.isnan of the result is their mask).
+    Here nu~ = (f-P)/||f-P|| is the Gauss map of the anti-orthotomic and
+    J nu~ its Jacobian from the anti-orthotomic's jet, nu2 = nu . nu~ the
+    normal coefficient of nu along it, nu - nu2 nu~ its tangential part,
+    and gamma = ||f-P|| / 2 (so that f - P = 2 gamma nu~).  All gradients
     are taken in parameter coordinates.  A small residual certifies that
-    d(gamma) lies in the module generated by the d(nt_i); the identity needs
-    no nonsingularity of the Gauss map.
+    d(gamma) lies in the module generated by the components of d(nu~); the
+    identity needs no nonsingularity of the Gauss map.
 
-    nu is oriented so the normal coefficient nu2 is nonnegative (either unit
+    nu is oriented so the normal coefficient is nonnegative (either unit
     normal certifies the frontal condition; the identity is orientation
     covariant).
     """
-    x = _point(x, F.param_dim)
+    x = _rows(x, F.param_dim)
     P = np.asarray(P, dtype=float)
-
-    fv = F.eval_f(x)[0]
-    r = float(np.linalg.norm(fv - P))
-    if r <= 1e-12:
-        raise PoleAtImageError(f"pole coincides with image point at x={x[0]!r}")
-    gamma = r / 2.0
-    nt = (fv - P) / r
-    split = nu_split(F, x, nt)
-    nu2 = split.nu2
-    if abs(nu2) <= nu2_tol:
-        raise DegenerateNu2Error(
-            f"normal component of nu vanishes at x={x[0]!r}: {nu2:.3e}")
-    sign = 1.0 if nu2 >= 0.0 else -1.0
-    nu1 = sign * split.nu1
-
-    # gradients of the tangent-frame components of nt (frame frozen at x)
-    nutilde = _gauss_direction_map(F, P)
-    basis = split.frame.basis
-
-    def comps(t):
-        return nutilde(t) @ basis
-
-    grad_nt = _fd_jacobian(comps, F.domain, x, F.fd_step)[0]  # (n_comp, n)
-
-    def gfun(t):
-        return 0.5 * np.linalg.norm(F.eval_f(t) - P, axis=1)[:, None]
-
-    grad_gamma = _fd_jacobian(gfun, F.domain, x, F.fd_step)[0, 0, :]
-
-    total = gamma * (nu1 @ grad_nt) + abs(nu2) * grad_gamma
-    return float(np.max(np.abs(total)))
+    fv, nv, Jf, _ = F.eval(x, 1)
+    u = fv - P
+    r = np.linalg.norm(u, axis=1)
+    # nu2 = (nu . u) / r; a pole on the image (r = 0) is degenerate too
+    degenerate = np.abs(_dot(nv, u)) <= nu2_tol * r
+    keep = ~degenerate
+    _, nt, _, Jnt = anti_orthotomic(F, P).result.eval(x[keep], 1)
+    nv, r, Jf = nv[keep], r[keep], Jf[keep]
+    nu2 = _dot(nv, nt)
+    tangential = np.sign(nu2)[:, None] * (nv - nu2[:, None] * nt)
+    gamma = 0.5 * r
+    grad_gamma = 0.5 * _grad(Jf, nt)
+    total = gamma[:, None] * _grad(Jnt, tangential) \
+        + np.abs(nu2)[:, None] * grad_gamma
+    res = np.full(x.shape[0], np.nan)
+    res[keep] = np.max(np.abs(total), axis=1)
+    return res
 
 
-def _stacked_rank(J_top, J_bot, tol):
-    S = np.vstack([J_top, J_bot])
-    return numeric_rank(S, tol=tol, scale_floor=RANK_SCALE_FLOOR), S
+def _stacked(J_top, J_bot):
+    """[J_top; J_bot] row by row: (k, m, n) twice -> (k, 2m, n)."""
+    return np.concatenate([J_top, J_bot], axis=1)
 
 
-def is_front_at(F: Frontal, x, tol: float = 1e-6) -> bool:
-    """True iff the pair map (f, nu) is an immersion at x: the stacked
-    Jacobian [Jf; Jnu] has full column rank.
+def is_front_at(F: Frontal, x, tol: float = 1e-6) -> np.ndarray:
+    """Per row: True iff the pair map (f, nu) is an immersion there, i.e.
+    the stacked Jacobian [Jf; Jnu] has full column rank.
 
     The rank threshold is tol * max(sigma_max, 1): a floor at unit scale
-    keeps finite-difference noise on totally degenerate points from reading
-    as rank.
+    keeps numerical noise on totally degenerate points from reading as
+    rank.
     """
-    x = _point(x, F.param_dim)
-    Jf = jacobian_f(F, x)[0]
-    Jn = jacobian_nu(F, x)[0]
-    rank, _ = _stacked_rank(Jf, Jn, tol)
-    return rank == F.param_dim
+    x = _rows(x, F.param_dim)
+    _, _, Jf, Jn = F.eval(x, 1)
+    return numeric_rank(_stacked(Jf, Jn), tol=tol,
+                        scale_floor=RANK_SCALE_FLOOR) == F.param_dim
 
 
 @dataclass(frozen=True)
 class FrontReport:
-    x: np.ndarray
-    rank_f_nu: int
-    rank_ftilde_nutilde: int
-    rank_f_ftilde: int
-    is_front: bool
-    consistent: bool
-    ambiguous: bool
+    """Per-row results over k points."""
 
-
-def _band_ambiguous(S, lo=AMBIGUOUS_BAND[0], hi=AMBIGUOUS_BAND[1]):
-    sv = singular_values(S)
-    ref = max(float(sv[0]) if sv.size else 0.0, RANK_SCALE_FLOOR)
-    return bool(np.any((sv > lo * ref) & (sv < hi * ref)))
+    x: np.ndarray                    # (k, n)
+    rank_f_nu: np.ndarray            # (k,) int
+    rank_ftilde_nutilde: np.ndarray  # (k,) int
+    rank_f_ftilde: np.ndarray        # (k,) int
+    is_front: np.ndarray             # (k,) bool, from criterion (3)
+    consistent: np.ndarray           # (k,) all three criteria agree
+    ambiguous: np.ndarray            # (k,) a sigma lies in AMBIGUOUS_BAND
 
 
 def front_equivalence(F: Frontal, P, x, tol: float = 1e-6) -> FrontReport:
-    """Evaluate the three equivalent front criteria at x:
+    """Evaluate the three equivalent front criteria at each row of x:
 
       (1) (f, nu) is an immersion,
       (2) the anti-orthotomic pair (f~, nu~) is an immersion,
       (3) the paired map (f, f~) is an immersion.
 
-    is_front is taken from criterion (3); `consistent` records whether all
-    three agree; `ambiguous` flags points where any stacked Jacobian has a
-    singular value inside the rank-ambiguity band, where rank decisions are
-    unreliable.  All four Jacobians come from order-1 jets (Frontal.eval).
+    Each criterion is the full column rank of a stacked (2m, n) Jacobian,
+    decided as in is_front_at from one SVD per row and criterion.
+    `ambiguous` flags rows where any stacked Jacobian has a singular value
+    inside the rank-ambiguity band, where rank decisions are unreliable.
+    All four Jacobians come from order-1 jets (Frontal.eval).
     """
-    x = _point(x, F.param_dim)
-    n = F.param_dim
-    anti = anti_orthotomic(F, P).result
-
-    _, _, Jf, Jn = (a[0] for a in F.eval(x, 1))
-    _, _, Jft, Jnt = (a[0] for a in anti.eval(x, 1))
-
-    r1, S1 = _stacked_rank(Jf, Jn, tol)
-    r2, S2 = _stacked_rank(Jft, Jnt, tol)
-    r3, S3 = _stacked_rank(Jf, Jft, tol)
-    flags = [r1 == n, r2 == n, r3 == n]
-    return FrontReport(x=x[0], rank_f_nu=r1, rank_ftilde_nutilde=r2,
-                       rank_f_ftilde=r3, is_front=flags[2],
-                       consistent=len(set(flags)) == 1,
-                       ambiguous=any(_band_ambiguous(S) for S in (S1, S2, S3)))
+    x = _rows(x, F.param_dim)
+    _, _, Jf, Jn = F.eval(x, 1)
+    _, _, Jft, Jnt = anti_orthotomic(F, P).result.eval(x, 1)
+    S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
+    ranks = numeric_rank(S, tol=tol, scale_floor=RANK_SCALE_FLOOR)
+    full = ranks == F.param_dim
+    sv = singular_values(S)
+    lo, hi = AMBIGUOUS_BAND
+    ref = np.maximum(sv[..., :1], RANK_SCALE_FLOOR)
+    in_band = (sv > lo * ref) & (sv < hi * ref)
+    return FrontReport(x=x, rank_f_nu=ranks[0], rank_ftilde_nutilde=ranks[1],
+                       rank_f_ftilde=ranks[2], is_front=full[2],
+                       consistent=full.all(axis=0) | ~full.any(axis=0),
+                       ambiguous=in_band.any(axis=(0, 2)))

@@ -49,18 +49,20 @@ def _bump(u: np.ndarray) -> np.ndarray:
 
 # Veltkamp splitting constant 2**27 + 1 for IEEE double.
 _SPLIT = 134217729.0
-# Below this many elements numpy's per-call overhead dominates _cube.
-_CUBE_SCALAR_MAX = 16
 
 
-def _cube_ieee(t):
-    """t**3 rounded once, from IEEE basic operations on t (float or array).
+def _cube(t: np.ndarray) -> np.ndarray:
+    """Elementwise t**3, rounded once, that rounds the same on every numpy
+    SIMD level.
 
-    Dekker's error-free products give t*t = p2 + e2 and p2*t = p3 + e3
-    exactly (Veltkamp splits hi + lo), so t**3 = p3 + e3 + e2*t; the tail is
-    summed in double precision and added once.  Valid while |t| is far from
+    numpy's vectorized `power` kernel differs by an ulp between CPU feature
+    sets; `*`, `+` and `-` are correctly rounded everywhere.  Dekker's
+    error-free products give t*t = p2 + e2 and p2*t = p3 + e3 exactly
+    (Veltkamp splits hi + lo), so t**3 = p3 + e3 + e2*t; the tail is summed
+    in double precision and added once.  Valid while |t| is far from
     overflow and t**3 far from underflow.
     """
+    t = np.asarray(t, dtype=float)
     c = _SPLIT * t
     hi = c - (c - t)
     lo = t - hi
@@ -72,20 +74,6 @@ def _cube_ieee(t):
     p3 = p2 * t
     e3 = ((p2_hi * hi - p3) + p2_hi * lo + p2_lo * hi) + p2_lo * lo
     return p3 + (e3 + e2 * t)
-
-
-def _cube(t: np.ndarray) -> np.ndarray:
-    """Elementwise t**3 that rounds the same on every numpy SIMD level.
-
-    numpy's vectorized `power` kernel differs by an ulp between CPU feature
-    sets; `*`, `+` and `-` are correctly rounded everywhere, as are Python
-    float operations, which serve tiny arrays (the per-point analysis loops).
-    """
-    t = np.asarray(t, dtype=float)
-    if t.size <= _CUBE_SCALAR_MAX:
-        return np.array([_cube_ieee(v) for v in t.ravel().tolist()],
-                        dtype=float).reshape(t.shape)
-    return _cube_ieee(t)
 
 
 def _circle(R: float = 1.0) -> Frontal:

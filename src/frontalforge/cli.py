@@ -2,7 +2,8 @@
 
 Subcommands: catalog, transform, verify, ns, cahn-hoffman, front-check.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical degeneracy (pole on silhouette, degenerate Gauss map, ...).
+3 numerical degeneracy (pole on the silhouette, degenerate Gauss map of a
+forward transform).
 
 Identical invocations produce byte-identical output files.
 """
@@ -18,10 +19,9 @@ import numpy as np
 from . import verify
 from .analysis import cahn_hoffman, front_equivalence
 from .catalog import catalog, catalog_names
-from .errors import (CatalogParameterError, DegenerateNu2Error,
-                     FrontalForgeError, GaussDegenerateError,
-                     PoleAtImageError, PoleOnSilhouetteError,
-                     SingularGaussMapError, UnknownCatalogError)
+from .errors import (CatalogParameterError, FrontalForgeError,
+                     GaussDegenerateError, PoleOnSilhouetteError,
+                     UnknownCatalogError)
 from .frontal import sample
 from .io import curve_to_svg, sampled_map_to_csv
 from .silhouette import ns_raster, raster_to_csv, raster_to_pgm
@@ -32,8 +32,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-_DEGENERATE = (GaussDegenerateError, PoleOnSilhouetteError,
-               SingularGaussMapError, DegenerateNu2Error, PoleAtImageError)
+_DEGENERATE = (GaussDegenerateError, PoleOnSilhouetteError)
 
 
 class UsageError(Exception):
@@ -200,47 +199,37 @@ def cmd_cahn_hoffman(args) -> int:
     F = _load_frontal(args)
     P = _parse_pole(args.pole, F.ambient_dim)
     grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
-    reports = []
     kw = {}
     if args.tol_jnu is not None:
         kw["jnu_tol"] = args.tol_jnu
-    for x in grid:
-        try:
-            rep = cahn_hoffman(F, P, x[None, :], **kw)
-        except SingularGaussMapError:
-            reports.append({"x": x.tolist(), "singular": True})
-            continue
-        reports.append({
-            "x": x.tolist(),
-            "direct": rep.direct.tolist(),
-            "formula": rep.formula.tolist(),
-            "residual": rep.residual,
-            "det_jnu": rep.det_jnu,
-            "gamma": rep.gamma,
-        })
+    rep = cahn_hoffman(F, P, grid, **kw)
+    reports = [
+        {"x": x, "singular": True} if singular else
+        {"x": x, "direct": direct, "formula": formula, "residual": residual,
+         "det_jnu": det, "gamma": gamma}
+        for x, singular, direct, formula, residual, det, gamma in zip(
+            grid.tolist(), rep.singular.tolist(), rep.direct.tolist(),
+            rep.formula.tolist(), rep.residual.tolist(),
+            rep.det_jnu.tolist(), rep.gamma.tolist())]
     _report_lines(reports, args.json)
     return EXIT_OK
+
+
+_FRONT_FIELDS = ("rank_f_nu", "rank_ftilde_nutilde", "rank_f_ftilde",
+                 "is_front", "consistent", "ambiguous")
 
 
 def cmd_front_check(args) -> int:
     F = _load_frontal(args)
     P = _parse_pole(args.pole, F.ambient_dim)
     grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
-    reports = []
     kw = {}
     if args.tol_rank is not None:
         kw["tol"] = args.tol_rank
-    for x in grid:
-        rep = front_equivalence(F, P, x[None, :], **kw)
-        reports.append({
-            "x": x.tolist(),
-            "rank_f_nu": rep.rank_f_nu,
-            "rank_ftilde_nutilde": rep.rank_ftilde_nutilde,
-            "rank_f_ftilde": rep.rank_f_ftilde,
-            "is_front": rep.is_front,
-            "consistent": rep.consistent,
-            "ambiguous": rep.ambiguous,
-        })
+    rep = front_equivalence(F, P, grid, **kw)
+    columns = [getattr(rep, key).tolist() for key in _FRONT_FIELDS]
+    reports = [dict(zip(("x",) + _FRONT_FIELDS, row))
+               for row in zip(grid.tolist(), *columns)]
     _report_lines(reports, args.json)
     return EXIT_OK
 

@@ -41,24 +41,3 @@ class PoleOnSilhouetteError(FrontalForgeError):
         super().__init__(
             f"pole lies on the silhouette at x={x!r}: (f-P).nu = {value:.3e}"
         )
-
-
-class PoleAtImageError(FrontalForgeError):
-    """The pole P coincides with an image point, so ||g(x)-P|| vanishes."""
-
-
-class SingularGaussMapError(FrontalForgeError):
-    """The induced Gauss map is singular where the vector formula needs its
-    Jacobian to be invertible."""
-
-    def __init__(self, x, det):
-        self.x = x
-        self.det = det
-        super().__init__(
-            f"Gauss map singular at x={x!r}: |det J| = {abs(det):.3e}"
-        )
-
-
-class DegenerateNu2Error(FrontalForgeError):
-    """The normal component of nu along the induced Gauss direction vanishes,
-    so the opening identity's coefficient is undefined."""

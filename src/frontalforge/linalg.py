@@ -95,21 +95,21 @@ def cofactor(M: np.ndarray) -> np.ndarray:
 def numeric_rank(M: np.ndarray, tol: float = 1e-6, scale_floor: float = 0.0):
     """Number of singular values exceeding tol * max(sigma_max, scale_floor).
 
-    scale_floor guards rank decisions on matrices whose entries are pure
-    finite-difference noise (sigma_max itself tiny): with the default 0.0 the
-    threshold is purely relative.
+    M is one matrix, giving an int, or a stack (..., a, b), giving an int
+    array of the stack's shape.  scale_floor guards rank decisions on
+    matrices whose entries are pure numerical noise (sigma_max itself
+    tiny): with the default 0.0 the threshold is purely relative.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    thresh = tol * max(smax, scale_floor)
-    return int(np.sum(sv > thresh))
+    sv = singular_values(M)
+    # sv[..., :1] is sigma_max, or empty (rank 0) for an empty matrix
+    rank = np.sum(sv > tol * np.maximum(sv[..., :1], scale_floor), axis=-1)
+    return int(rank) if rank.ndim == 0 else rank
 
 
 def singular_values(M: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of one matrix or of each matrix of a
+    stack (..., a, b)."""
     return np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)),
                          compute_uv=False)

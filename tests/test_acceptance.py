@@ -109,7 +109,7 @@ def test_criterion_07_opening_identity():
         worst = max(worst, rep["max_scaled_residual"])
     # the identity holds even where the induced Gauss map is singular
     sing = opening_residual(catalog("circle-cubic"), [0.0, 0.0],
-                            np.array([[0.0]]))
+                            np.array([[0.0]]))[0]
     ok &= sing <= 1e-6
     _report(7, "opening identity", ok,
             f"max scaled residual {worst:.1e}, "

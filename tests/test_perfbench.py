@@ -38,4 +38,6 @@ def test_traced_commands_run_and_count(tracer_module, tmp_path):
     assert codes == [EXIT_OK, EXIT_OK]
     metrics = t.metrics(round_wall=0.0)
     assert metrics["catalog.eval_rows"] > 0
-    assert metrics["analysis.front_equivalence_calls"] == 9
+    # one batched call covers all 9 grid points
+    assert metrics["analysis.front_equivalence_calls"] == 1
+    assert metrics["analysis.rows_per_call"] == 9
