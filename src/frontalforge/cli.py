@@ -3,7 +3,7 @@
 Subcommands: catalog, transform, verify, ns, cahn-hoffman, front-check.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical degeneracy (pole on the silhouette, degenerate Gauss map of a
-forward transform).
+forward transform, no pole found in the no-silhouette set).
 
 Identical invocations produce byte-identical output files.
 """
@@ -19,9 +19,9 @@ import numpy as np
 from . import verify
 from .analysis import cahn_hoffman, front_equivalence
 from .catalog import catalog, catalog_names
-from .errors import (CatalogParameterError, FrontalForgeError,
-                     GaussDegenerateError, PoleOnSilhouetteError,
-                     UnknownCatalogError)
+from .errors import (CatalogParameterError, EmptyNSSetError,
+                     FrontalForgeError, GaussDegenerateError,
+                     PoleOnSilhouetteError, UnknownCatalogError)
 from .frontal import sample
 from .io import curve_to_svg, sampled_map_to_csv
 from .silhouette import ns_raster, raster_to_csv, raster_to_pgm
@@ -32,7 +32,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-_DEGENERATE = (GaussDegenerateError, PoleOnSilhouetteError)
+_DEGENERATE = (EmptyNSSetError, GaussDegenerateError, PoleOnSilhouetteError)
 
 
 class UsageError(Exception):

@@ -31,6 +31,10 @@ class GaussDegenerateError(FrontalForgeError):
         )
 
 
+class EmptyNSSetError(FrontalForgeError, RuntimeError):
+    """The pole sampler found fewer no-silhouette poles than requested."""
+
+
 class PoleOnSilhouetteError(FrontalForgeError):
     """The pole P fails the no-silhouette condition (f(x)-P).nu(x) != 0 at a
     requested point; the inverse-transform formulas divide by that quantity."""

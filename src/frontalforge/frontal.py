@@ -153,12 +153,17 @@ class Frontal:
         nv = fv if self.nu is self.f else np.asarray(self.nu(x), dtype=float)
         if order == 0:
             return fv, nv
-        Jf = self._jacobian(self.jac_f, self.f, x)
+        Jf = self._jacobian(x, 0)
         if self.jac_nu is self.jac_f and self.nu is self.f:
             return fv, nv, Jf, Jf
-        return fv, nv, Jf, self._jacobian(self.jac_nu, self.nu, x)
+        return fv, nv, Jf, self._jacobian(x, 1)
 
-    def _jacobian(self, jac, fun, x):
+    def _jacobian(self, x, which):
+        """Jf (which 0) or Jnu (1) at wrapped points x: from the jet if F
+        has one, else from that map's jac or its finite differences alone."""
+        if self.jet is not None:
+            return self.jet(x, 1)[2 + which]
+        jac, fun = ((self.jac_f, self.f), (self.jac_nu, self.nu))[which]
         if jac is not None:
             return np.asarray(jac(x), dtype=float)
         return _fd_jacobian(fun, self.domain, x, self.fd_step)
@@ -247,12 +252,12 @@ def _fd_jacobian(fun, domain: ParamDomain, x: np.ndarray, h: float) -> np.ndarra
 
 def jacobian_f(F: Frontal, x: np.ndarray) -> np.ndarray:
     """Jacobian of f at each point of x, shape (k, m, n)."""
-    return F.eval(x, 1)[2]
+    return F._jacobian(F.domain.wrap(x), 0)
 
 
 def jacobian_nu(F: Frontal, x: np.ndarray) -> np.ndarray:
     """Jacobian of nu at each point of x, shape (k, m, n)."""
-    return F.eval(x, 1)[3]
+    return F._jacobian(F.domain.wrap(x), 1)
 
 
 @dataclass(frozen=True)
@@ -276,14 +281,16 @@ def check_frontal(F: Frontal, grid: np.ndarray,
 
     Also records how far nu strays from unit norm on the grid.  jet, when
     given, is F's order-1 jet at the grid points (see Frontal.eval), so a
-    caller that needs the jet anyway evaluates F once.
+    caller that needs the jet anyway evaluates F once; without one, only
+    nu and Jf are evaluated, unless F's own jet gives all four.
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
-    if jet is None:
-        jet = F.eval_wrapped(grid, 1)
-    _, nu, J, _ = jet
+    if jet is None and F.jet is None:
+        jet = (None, np.asarray(F.nu(grid), dtype=float),
+               F._jacobian(grid, 0), None)
+    _, nu, J, _ = jet or F.eval_wrapped(grid, 1)
     unit_defect = float(np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)))
     # residuals[k, j] = | J[k,:,j] . nu[k] |
     res = np.abs(np.einsum("kmj,km->kj", J, nu))

@@ -3,6 +3,7 @@ planar curves.
 
 Floats are written with repr (shortest round-trip decimal), '.' decimal
 separator, '\n' line endings; identical inputs yield byte-identical output.
+Every float writer formats its rows with `_format_rows`.
 """
 from __future__ import annotations
 
@@ -10,26 +11,33 @@ import numpy as np
 
 from .frontal import SampledMap
 
+# rows per chunk: a whole table as Python floats would outweigh its text
+_CHUNK_ROWS = 1024
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+
+def _format_rows(blocks, sep: str) -> list[str]:
+    """Rows of the column blocks (each (k, c_i), side by side) as text, one
+    string per chunk: ',' within a row, sep between rows, each value the
+    repr of its Python equivalent (repr(float(v)) for float64)."""
+    k = blocks[0].shape[0]
+    chunks = []
+    for start in range(0, k, _CHUNK_ROWS):
+        rows = np.hstack([b[start:start + _CHUNK_ROWS] for b in blocks])
+        chunks.append(sep.join([",".join(map(repr, row))
+                                for row in rows.tolist()]))
+    return chunks
 
 
 def sampled_map_to_csv(sm: SampledMap) -> str:
     """CSV with header t1..tn,f1..fm,nu1..num (nu columns only when the
     Gauss map was sampled)."""
-    n = sm.params.shape[1]
-    m = sm.values.shape[1]
-    header = [f"t{j + 1}" for j in range(n)] + [f"f{j + 1}" for j in range(m)]
-    if sm.gauss is not None:
-        header += [f"nu{j + 1}" for j in range(m)]
-    lines = [",".join(header)]
-    for i in range(sm.params.shape[0]):
-        row = [_fmt(v) for v in sm.params[i]] + [_fmt(v) for v in sm.values[i]]
-        if sm.gauss is not None:
-            row += [_fmt(v) for v in sm.gauss[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols = {"t": sm.params, "f": sm.values, "nu": sm.gauss}
+    blocks = {k: np.asarray(v, dtype=float)
+              for k, v in cols.items() if v is not None}
+    header = ",".join(f"{k}{j + 1}" for k, b in blocks.items()
+                      for j in range(b.shape[1]))
+    rows = _format_rows(list(blocks.values()), "\n")
+    return "\n".join([header, *rows, ""])
 
 
 def _split_arcs(points: np.ndarray) -> list[np.ndarray]:
@@ -44,14 +52,7 @@ def _split_arcs(points: np.ndarray) -> list[np.ndarray]:
         med = float(np.median(nz)) if nz.size else 0.0
     if med <= 0.0:
         return [points]
-    breaks = np.nonzero(steps > 10.0 * med)[0]
-    arcs = []
-    start = 0
-    for b in breaks:
-        arcs.append(points[start:b + 1])
-        start = b + 1
-    arcs.append(points[start:])
-    return [a for a in arcs if a.shape[0] > 0]
+    return np.split(points, np.nonzero(steps > 10.0 * med)[0] + 1)
 
 
 def curve_to_svg(points: np.ndarray) -> str:
@@ -70,21 +71,20 @@ def curve_to_svg(points: np.ndarray) -> str:
         span = np.array([1.0, 1.0])
     pad = 0.05 * span
     pad[pad <= 0.0] = 0.05 * diag
-    x0, y0 = lo - pad
-    w, h = span + 2 * pad
+    x0, y0 = (lo - pad).tolist()
+    w, h = (span + 2 * pad).tolist()
     stroke = 0.005 * diag
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}">',
+        f'viewBox="{x0!r} {y0!r} {w!r} {h!r}">',
         # flip y so the mathematical orientation renders upright
-        f'<g transform="translate(0 {_fmt(2 * y0 + h)}) scale(1 -1)" '
-        f'fill="none" stroke="black" stroke-width="{_fmt(stroke)}" '
+        f'<g transform="translate(0 {2 * y0 + h!r}) scale(1 -1)" '
+        f'fill="none" stroke="black" stroke-width="{stroke!r}" '
         f'stroke-linecap="round">',
     ]
     for arc in _split_arcs(points):
-        pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in arc)
+        pts = " ".join(_format_rows([arc], " "))
         lines.append(f'<polyline points="{pts}"/>')
-    lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines += ["</g>", "</svg>", ""]
+    return "\n".join(lines)

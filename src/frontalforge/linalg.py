@@ -33,14 +33,6 @@ class TangentFrame:
     base: np.ndarray
     basis: np.ndarray
 
-    def to_ambient(self, coeffs: np.ndarray) -> np.ndarray:
-        """Map tangent coefficients to an ambient vector."""
-        return self.basis @ np.asarray(coeffs, dtype=float)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Tangent coefficients of the ambient vector v."""
-        return self.basis.T @ np.asarray(v, dtype=float)
-
 
 def tangent_frame(u: np.ndarray, tol: float = UNIT_TOL) -> TangentFrame:
     """Deterministic orthonormal basis of the hyperplane orthogonal to u.

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .frontal import Frontal
+from .io import _format_rows
 
 DEFAULT_NS_TOL_FRAC = 1e-9
 # `ns_raster`'s error-band factor and rows per (rows, samples) block
@@ -186,9 +187,7 @@ def raster_to_csv(raster: RasterGrid) -> str:
     """Serialize to CSV rows `x,y,member` at cell centers, row-major from
     the bottom-left cell."""
     xs, ys = raster.centers()
-    lines = ["x,y,member"]
-    for iy in range(raster.resolution[1]):
-        for ix in range(raster.resolution[0]):
-            lines.append(f"{float(xs[ix])!r},{float(ys[iy])!r},"
-                         f"{1 if raster.cells[iy, ix] else 0}")
-    return "\n".join(lines) + "\n"
+    nx, ny = raster.resolution
+    blocks = [np.tile(xs, ny)[:, None], np.repeat(ys, nx)[:, None],
+              raster.cells.astype(int).astype(object).reshape(-1, 1)]
+    return "\n".join(["x,y,member", *_format_rows(blocks, "\n"), ""])

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaussDegenerateError, PoleOnSilhouetteError
+from .errors import (EmptyNSSetError, GaussDegenerateError,
+                     PoleOnSilhouetteError)
 from .frontal import Frontal
 
 DEFAULT_DEGENERACY_TOL = 1e-9
@@ -203,7 +204,8 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     (f(x)-P).nu(x) keep one sign over the grid with margin exceeding
     margin_frac * scale (scale = bounding-box diagonal).  Mixed signs mean a
     silhouette zero lies between samples, so such poles are rejected even
-    when the sampled margin is large.
+    when the sampled margin is large.  Fewer than `count` poles accepted in
+    max_tries candidates raise EmptyNSSetError.
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     fv, nv = F.eval_wrapped(grid)
@@ -225,6 +227,6 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
             poles.append(P)
             if len(poles) == count:
                 return np.array(poles)
-    raise RuntimeError(
+    raise EmptyNSSetError(
         f"pole sampler found only {len(poles)}/{count} valid poles "
         f"in {max_tries} tries")

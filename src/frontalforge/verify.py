@@ -9,12 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import cahn_hoffman, front_equivalence, opening_residual
-from .catalog import catalog, catalog_names
-from .frontal import Frontal, check_frontal
+from .catalog import catalog
+from .frontal import Frontal, ParamDomain, check_frontal
 from .transforms import (anti_orthotomic, negative_pedal, orthotomic, pedal,
                          sample_poles)
-
-ALL_CATALOG = tuple(catalog_names())
 
 
 def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray:
@@ -30,8 +28,6 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
         span = dom.hi - dom.lo
         lo = np.where(dom.periodic, dom.lo, dom.lo + interior_margin * span)
         hi = np.where(dom.periodic, dom.hi, dom.hi - interior_margin * span)
-        from .frontal import ParamDomain
-
         dom = ParamDomain(lo, hi, dom.periodic)
     return dom.grid([per_axis] * n)
 

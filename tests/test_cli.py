@@ -177,6 +177,20 @@ class TestVerify:
         rep = verify.suite_thm1(catalog("cusp"), samples=128, n_poles=2)
         assert json.loads(capsys.readouterr().out)["poles"] == rep["poles"]
 
+    def test_no_pole_found_is_degeneracy(self, monkeypatch, capsys):
+        import functools
+
+        from frontalforge import cli, transforms
+
+        monkeypatch.setattr(cli, "sample_poles", functools.partial(
+            transforms.sample_poles, max_tries=1))
+        code = run(["verify", "--suite", "thm1", "--catalog", "circle",
+                    "--poles", "auto:5", "--samples", "64"])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical degeneracy [EmptyNSSetError]")
+        assert "Traceback" not in err
+
     def test_non_finite_pole_in_list_is_usage_error(self, capsys):
         code = run(["verify", "--suite", "thm1", "--catalog", "circle",
                     "--poles", "0.1,0.2;inf,0", "--samples", "32"])

@@ -140,6 +140,35 @@ class TestCheckFrontal:
         assert rep.max_residual >= 0.1
 
 
+class TestEvaluatesOnlyWhatIsRead:
+    """Without analytic Jacobians or a jet, check_frontal reads nu and Jf
+    and jacobian_f reads Jf: neither pays for a finite-difference Jnu."""
+
+    def _counted(self):
+        C = catalog("cusp")
+        rows = []
+
+        def nu(x):
+            rows.append(x.shape[0])
+            return C.nu(x)
+        return Frontal(domain=C.domain, f=C.f, nu=nu, ambient_dim=2), rows
+
+    def test_check_frontal_evaluates_nu_once(self):
+        F, rows = self._counted()
+        assert check_frontal(F, F.domain.grid([64])).passed
+        assert sum(rows) == 64
+
+    def test_jacobian_f_never_evaluates_nu(self):
+        F, rows = self._counted()
+        jacobian_f(F, F.domain.grid([64])[1:-1])
+        assert sum(rows) == 0
+
+    def test_jacobian_nu_matches_jet(self):
+        F, _ = self._counted()
+        x = F.domain.grid([64])[1:-1]
+        np.testing.assert_array_equal(jacobian_nu(F, x), F.eval(x, 1)[3])
+
+
 class TestSample:
     def test_shapes_and_gauss(self):
         F = catalog("circle")

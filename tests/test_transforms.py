@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
-from frontalforge.errors import GaussDegenerateError, PoleOnSilhouetteError
+from frontalforge.errors import (EmptyNSSetError, GaussDegenerateError,
+                                PoleOnSilhouetteError)
 from frontalforge.frontal import (Frontal, ParamDomain, _fd_jacobian,
                                   check_frontal, interval)
 from frontalforge.silhouette import ns_membership
@@ -397,6 +398,11 @@ class TestSamplePoles:
         assert poles.shape == (5, F.ambient_dim)
         for P in poles:
             assert ns_membership(F, P, g).member
+
+    def test_too_few_tries_is_typed_error(self):
+        F = catalog("circle")
+        with pytest.raises(EmptyNSSetError, match="only [01]/5"):
+            sample_poles(F, _grid(F, 64), 5, max_tries=1)
 
     def test_deterministic(self):
         F = catalog("cusp")
