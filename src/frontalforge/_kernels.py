@@ -14,13 +14,15 @@ def support_offsets(f_vals: np.ndarray, nu_vals: np.ndarray) -> np.ndarray:
     return np.einsum("sm,sm->s", f_vals, nu_vals)
 
 
-def support_extrema(f_vals: np.ndarray, nu_vals: np.ndarray,
-                    poles: np.ndarray, chunk: int = 512):
-    """For each pole P, over the samples x: extrema of the signed support
-    value d(x) = (f(x)-P).nu(x) plus the argmin of |d|.
+_POLE_BLOCK = 512  # poles per block, bounding the (block, s) workspace
 
-    f_vals, nu_vals: (s, m); poles: (c, m).  Returns (dmin (c,), dmax (c,),
-    argmin_abs (c,)).  Chunked over poles to bound the (chunk, s) workspace.
+
+def support_extrema(f_vals: np.ndarray, nu_vals: np.ndarray,
+                    poles: np.ndarray):
+    """For each pole P, the extrema over the samples x of the signed support
+    value d(x) = (f(x)-P).nu(x).
+
+    f_vals, nu_vals: (s, m); poles: (c, m).  Returns (dmin (c,), dmax (c,)).
     """
     a = support_offsets(f_vals, nu_vals)
     nu_vals = np.ascontiguousarray(nu_vals, dtype=float)
@@ -28,11 +30,9 @@ def support_extrema(f_vals: np.ndarray, nu_vals: np.ndarray,
     c = poles.shape[0]
     dmin = np.empty(c)
     dmax = np.empty(c)
-    argabs = np.empty(c, dtype=np.int64)
-    for start in range(0, c, chunk):
-        stop = min(start + chunk, c)
+    for start in range(0, c, _POLE_BLOCK):
+        stop = min(start + _POLE_BLOCK, c)
         block = a[None, :] - poles[start:stop] @ nu_vals.T
         dmin[start:stop] = block.min(axis=1)
         dmax[start:stop] = block.max(axis=1)
-        argabs[start:stop] = np.argmin(np.abs(block), axis=1)
-    return dmin, dmax, argabs
+    return dmin, dmax

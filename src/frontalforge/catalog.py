@@ -22,22 +22,19 @@ def smooth_step(u: np.ndarray) -> np.ndarray:
     s(u) = sigma(u) / (sigma(u) + sigma(1-u)) with sigma(u) = exp(-1/u).
     """
     u = np.asarray(u, dtype=float)
-    a = _bump(u)
-    b = _bump(1.0 - u)
+    a, b = _bump(u), _bump(1.0 - u)
     return a / (a + b)
 
 
 def smooth_step_deriv(u: np.ndarray) -> np.ndarray:
-    """Derivative of smooth_step."""
+    """Derivative of smooth_step.  Exactly 0 where exp(-1/u) or
+    exp(-1/(1-u)) underflows, within about 0.00134 of either end."""
     u = np.asarray(u, dtype=float)
-    a = _bump(u)
-    b = _bump(1.0 - u)
-    inner = (u > 0.0) & (u < 1.0)
-    out = np.zeros_like(u)
+    a, b = _bump(u), _bump(1.0 - u)
+    inner = (a > 0.0) & (b > 0.0)
     uu = np.where(inner, u, 0.5)
-    out[inner] = (a * b * (1.0 / uu**2 + 1.0 / (1.0 - uu) ** 2))[inner] \
-        / (a + b)[inner] ** 2
-    return out
+    return np.where(inner, a * b * (1.0 / uu**2 + 1.0 / (1.0 - uu) ** 2)
+                    / (a + b) ** 2, 0.0)
 
 
 def _bump(u: np.ndarray) -> np.ndarray:
@@ -120,48 +117,38 @@ def _circle_cubic(c: float = 1.2) -> Frontal:
                    name="circle-cubic", params={"c": c})
 
 
-# Per unit-length segment of the period-8 square frontal:
-#   corner segments (even) hold f fixed at a vertex while the normal swings;
-#   edge segments (odd) hold the normal fixed while f runs along an edge.
-_SQUARE_VERTS = {0: (1.0, -1.0), 2: (1.0, 1.0), 4: (-1.0, 1.0), 6: (-1.0, -1.0)}
-
-
-# d(n1, n2)/ds on the corner segments; edge segments hold the normal fixed.
-_SQUARE_DNORMAL = {0: (1.0, 1.0), 2: (-1.0, 1.0), 4: (-1.0, -1.0),
-                   6: (1.0, -1.0)}
+# The square frontal (period 8) as a table of its 8 unit segments: on
+# segment k, with s = smooth_step(offset in k), f = F0 + s F1 and the raw
+# normal n = N0 + s N1, so Jf = s' F1 and dn = s' N1.  Zero constant terms
+# are -0.0: -0.0 + v is v bit for bit, but +0.0 + (-s) is +0.0 at s = 0.
+_SQUARE_TABLE = np.array([
+    # F0       F1        N0          N1
+    [(1, -1), (0, 0), (-0.0, -1), (1, 1)],     # corner (1, -1)
+    [(1, -1), (0, 2), (1, -0.0), (0, 0)],      # edge x = 1
+    [(1, 1), (0, 0), (1, -0.0), (-1, 1)],      # corner (1, 1)
+    [(1, 1), (-2, 0), (-0.0, 1), (0, 0)],      # edge y = 1
+    [(-1, 1), (0, 0), (-0.0, 1), (-1, -1)],    # corner (-1, 1)
+    [(-1, 1), (0, -2), (-1, -0.0), (0, 0)],    # edge x = -1
+    [(-1, -1), (0, 0), (-1, -0.0), (1, -1)],   # corner (-1, -1)
+    [(-1, -1), (2, 0), (-0.0, -1), (0, 0)],    # edge y = -1
+], dtype=float)
+_SQUARE_F0, _SQUARE_F1, _SQUARE_N0, _SQUARE_N1 = \
+    np.moveaxis(_SQUARE_TABLE, 0, -1).copy()  # each (components, segments)
 
 
 def _square_segments(t: np.ndarray):
     """Segment index 0..7 and the offset u in [0, 1) within it."""
     tau = np.mod(t, 8.0)
-    seg = np.floor(tau).astype(int) % 8
-    return seg, tau - np.floor(tau)
+    whole = np.floor(tau)
+    return whole.astype(int) % 8, tau - whole
 
 
-def _square_xy(t: np.ndarray):
-    seg, u = _square_segments(t)
-    s = smooth_step(u)
-    x = np.empty_like(u)
-    y = np.empty_like(u)
-    for k in range(8):
-        mk = seg == k
-        if not np.any(mk):
-            continue
-        if k in _SQUARE_VERTS:
-            x[mk], y[mk] = _SQUARE_VERTS[k]
-        elif k == 1:
-            x[mk] = 1.0
-            y[mk] = -1.0 + 2.0 * s[mk]
-        elif k == 3:
-            x[mk] = 1.0 - 2.0 * s[mk]
-            y[mk] = 1.0
-        elif k == 5:
-            x[mk] = -1.0
-            y[mk] = 1.0 - 2.0 * s[mk]
-        else:  # k == 7
-            x[mk] = -1.0 + 2.0 * s[mk]
-            y[mk] = -1.0
-    return x, y, seg, u, s
+def _square_rows(seg, s, slope, const=None):
+    """Per component: const[seg] + s * slope[seg], or s * slope[seg]."""
+    rows = [s * np.take(d, seg) for d in slope]
+    if const is None:
+        return rows
+    return [np.take(c, seg) + r for c, r in zip(const, rows)]
 
 
 def square_normal_components(t: np.ndarray):
@@ -171,36 +158,14 @@ def square_normal_components(t: np.ndarray):
     normals through a diagonal direction.
     """
     seg, u = _square_segments(np.asarray(t, dtype=float))
-    s = smooth_step(u)
-    n1 = np.empty_like(u)
-    n2 = np.empty_like(u)
-    for k in range(8):
-        mk = seg == k
-        if not np.any(mk):
-            continue
-        if k == 0:
-            n1[mk], n2[mk] = s[mk], s[mk] - 1.0
-        elif k == 1:
-            n1[mk], n2[mk] = 1.0, 0.0
-        elif k == 2:
-            n1[mk], n2[mk] = 1.0 - s[mk], s[mk]
-        elif k == 3:
-            n1[mk], n2[mk] = 0.0, 1.0
-        elif k == 4:
-            n1[mk], n2[mk] = -s[mk], 1.0 - s[mk]
-        elif k == 5:
-            n1[mk], n2[mk] = -1.0, 0.0
-        elif k == 6:
-            n1[mk], n2[mk] = s[mk] - 1.0, -s[mk]
-        else:  # k == 7
-            n1[mk], n2[mk] = 0.0, -1.0
-    return n1, n2
+    return tuple(_square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0))
 
 
 def _square() -> Frontal:
     def f(x):
-        px, py, *_ = _square_xy(x[:, 0])
-        return np.stack([px, py], axis=-1)
+        seg, u = _square_segments(x[:, 0])
+        return np.stack(_square_rows(seg, smooth_step(u), _SQUARE_F1,
+                                     _SQUARE_F0), axis=-1)
 
     def nu(x):
         n1, n2 = square_normal_components(x[:, 0])
@@ -209,29 +174,16 @@ def _square() -> Frontal:
 
     def jac_f(x):
         seg, u = _square_segments(x[:, 0])
-        ds = 2.0 * smooth_step_deriv(u)
-        dx = np.zeros_like(u)
-        dy = np.zeros_like(u)
-        dy[seg == 1] = ds[seg == 1]
-        dx[seg == 3] = -ds[seg == 3]
-        dy[seg == 5] = -ds[seg == 5]
-        dx[seg == 7] = ds[seg == 7]
-        return np.stack([dx, dy], axis=-1)[:, :, None]
+        return np.stack(_square_rows(seg, smooth_step_deriv(u), _SQUARE_F1),
+                        axis=-1)[:, :, None]
 
     def jac_nu(x):
         # (I - nu nu^T) dn / |n| for the raw normal n = (n1, n2)
-        t = x[:, 0]
-        n1, n2 = square_normal_components(t)
+        seg, u = _square_segments(x[:, 0])
+        n1, n2 = _square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0)
+        dn1, dn2 = _square_rows(seg, smooth_step_deriv(u), _SQUARE_N1)
         nrm = np.hypot(n1, n2)
         e1, e2 = n1 / nrm, n2 / nrm
-        seg, u = _square_segments(t)
-        ds = smooth_step_deriv(u)
-        dn1 = np.zeros_like(u)
-        dn2 = np.zeros_like(u)
-        for k, (a, b) in _SQUARE_DNORMAL.items():
-            mk = seg == k
-            dn1[mk] = a * ds[mk]
-            dn2[mk] = b * ds[mk]
         along = e1 * dn1 + e2 * dn2
         return np.stack([(dn1 - along * e1) / nrm,
                          (dn2 - along * e2) / nrm], axis=-1)[:, :, None]

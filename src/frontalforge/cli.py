@@ -144,6 +144,8 @@ def cmd_verify(args) -> int:
     F = None if args.suite == "square-reconstruction" else _load_frontal(args)
     poles = None
     if args.pole or args.poles:
+        if args.suite == "frontal-condition":
+            raise UsageError("suite frontal-condition takes no pole")
         poles = _resolve_poles(args, F or catalog("square"), samples)
         if len(poles) > 1 and args.suite in verify.ONE_POLE:
             raise UsageError(f"suite {args.suite} takes one pole")

@@ -168,7 +168,7 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
 
     iy, ix = np.nonzero(unsure)
     poles = np.stack([xs[ix], ys[iy]], axis=-1)
-    dmin, dmax, _ = _kernels.support_extrema(fv, nv, poles)
+    dmin, dmax = _kernels.support_extrema(fv, nv, poles)
     raster.cells[iy, ix] = (dmin > tol) | (dmax < -tol)
     return raster
 

@@ -26,6 +26,7 @@ from .frontal import Frontal
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
+POLE_MARGIN_FRAC = 1e-3  # sampled poles' support margin / image scale
 
 
 class TransformKind(enum.Enum):
@@ -195,17 +196,16 @@ def negative_pedal(G: Frontal, P,
 
 def sample_poles(F: Frontal, grid: np.ndarray, count: int,
                  seed: int = POLE_SAMPLER_SEED,
-                 margin_frac: float = 1e-3,
                  max_tries: int = 20000) -> np.ndarray:
     """Rejection-sample `count` poles inside the no-silhouette set of F.
 
     Candidates are drawn uniformly from the image bounding box inflated by
     half its diagonal; a candidate is accepted iff the support values
     (f(x)-P).nu(x) keep one sign over the grid with margin exceeding
-    margin_frac * scale (scale = bounding-box diagonal).  Mixed signs mean a
-    silhouette zero lies between samples, so such poles are rejected even
-    when the sampled margin is large.  Fewer than `count` poles accepted in
-    max_tries candidates raise EmptyNSSetError.
+    POLE_MARGIN_FRAC * scale (scale = bounding-box diagonal).  Mixed signs
+    mean a silhouette zero lies between samples, so such poles are rejected
+    even when the sampled margin is large.  Fewer than `count` poles
+    accepted in max_tries candidates raise EmptyNSSetError.
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     fv, nv = F.eval_wrapped(grid)
@@ -222,8 +222,8 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     for _ in range(max_tries):
         P = rng.uniform(lo, hi)
         d = a - nv @ P
-        if float(d.min()) > margin_frac * scale \
-                or float(d.max()) < -margin_frac * scale:
+        if float(d.min()) > POLE_MARGIN_FRAC * scale \
+                or float(d.max()) < -POLE_MARGIN_FRAC * scale:
             poles.append(P)
             if len(poles) == count:
                 return np.array(poles)

@@ -32,6 +32,16 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
     return dom.grid([per_axis] * n)
 
 
+FRONTAL_TOL = 1e-6      # |df . nu|: frontal-condition, prop1's orthotomic
+PROP1_TOL = 1e-8        # prop1 support identity
+THM2_TOL = 1e-5         # thm2 residual / (1 + |direct offset|)
+THM2_DET_MIN = 1e-3     # thm2 skips |det J nu~| <= THM2_DET_MIN ...
+THM2_COND_MAX = 1e3     # ... and ||(J nu~)^-1|| > THM2_COND_MAX
+THM3_NU2_MIN = 1e-3     # thm3 skips |nu2| <= THM3_NU2_MIN
+THM4_RANK_TOL = 1e-6    # thm4 numeric-rank tolerance
+SQUARE_TOL = 1e-6       # square-reconstruction mirror, radius and side
+
+
 def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None):
     """The given poles as a (k, m) array, or `count` sampled NS poles."""
     if poles is None:
@@ -39,19 +49,17 @@ def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None):
     return np.atleast_2d(np.asarray(poles, dtype=float))
 
 
-def _checked(G: Frontal, grid: np.ndarray, tol: float = 1e-6):
+def _checked(G: Frontal, grid: np.ndarray):
     """G's f and nu on the grid and the max residual of its frontal
     condition, all from one order-1 evaluation of G."""
     jet = G.eval(grid, 1)
-    return jet[0], jet[1], check_frontal(G, grid, tol=tol,
-                                         jet=jet).max_residual
+    return jet[0], jet[1], check_frontal(G, grid, jet=jet).max_residual
 
 
-def suite_frontal_condition(F: Frontal, samples: int = 2048,
-                            tol: float = 1e-6) -> dict:
+def suite_frontal_condition(F: Frontal, samples: int = 2048) -> dict:
     """The tangency condition df . nu = 0 on a sample grid."""
     grid = grid_for(F, samples)
-    rep = check_frontal(F, grid, tol=tol)
+    rep = check_frontal(F, grid, tol=FRONTAL_TOL)
     return {
         "suite": "frontal-condition",
         "frontal": F.name,
@@ -59,13 +67,12 @@ def suite_frontal_condition(F: Frontal, samples: int = 2048,
         "max_residual": rep.max_residual,
         "max_unit_defect": rep.max_unit_defect,
         "worst_x": rep.worst_x.tolist(),
-        "tol": tol,
+        "tol": FRONTAL_TOL,
         "passed": rep.passed and rep.max_unit_defect <= 1e-9,
     }
 
 
 def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
-                tol: float = 1e-8, frontal_tol: float = 1e-6,
                 poles=None) -> dict:
     """Orthotomic outputs: frontal condition with the induced Gauss map,
     the support identity ||f-f~|| ((f-P).nu) = 2 ((f~-P).nu~)^2, and
@@ -77,8 +84,7 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     worst_frontal = 0.0
     min_separation = np.inf
     for P in poles:
-        fv, nv, residual = _checked(orthotomic(F, P).result, grid,
-                                    frontal_tol)
+        fv, nv, residual = _checked(orthotomic(F, P).result, grid)
         worst_frontal = max(worst_frontal, residual)
         d_tilde = np.einsum("km,km->k", ft - P, nt)
         lhs = np.linalg.norm(fv - ft, axis=1) \
@@ -95,9 +101,9 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
         "max_identity_residual": worst_identity,
         "max_frontal_residual": worst_frontal,
         "min_separation": min_separation,
-        "tol": tol,
-        "passed": (worst_identity <= tol and worst_frontal <= frontal_tol
-                   and min_separation > 1e-3),
+        "tol": PROP1_TOL,
+        "passed": (worst_identity <= PROP1_TOL and min_separation > 1e-3
+                   and worst_frontal <= FRONTAL_TOL),
     }
 
 
@@ -141,16 +147,14 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     }
 
 
-def suite_thm2(G: Frontal, P, samples: int = 1024,
-               det_min: float = 1e-3, cond_max: float = 1e3,
-               tol: float = 1e-5) -> dict:
+def suite_thm2(G: Frontal, P, samples: int = 1024) -> dict:
     """The vector formula f~ - g = ((J nu~)^-1)^t grad(gamma) (+ nothing
     along nu~) against the direct negative-pedal computation, plus the
-    singular-gamma corollary in both directions.  Points where |det J nu~|
-    <= det_min or ||(J nu~)^-1|| > cond_max are skipped and counted."""
+    singular-gamma corollary in both directions.  Points skipped by
+    THM2_DET_MIN or THM2_COND_MAX are counted."""
     grid = grid_for(G, samples, interior_margin=2e-4)
-    rep = cahn_hoffman(G, P, grid, jnu_tol=det_min)
-    capped = ~rep.singular & (rep.jnu_inv_norm > cond_max)
+    rep = cahn_hoffman(G, P, grid, jnu_tol=THM2_DET_MIN)
+    capped = ~rep.singular & (rep.jnu_inv_norm > THM2_COND_MAX)
     ok = ~rep.singular & ~capped
     dn = np.linalg.norm(rep.direct[ok], axis=1)
     gn = np.linalg.norm(rep.grad_gamma[ok], axis=1)
@@ -170,18 +174,18 @@ def suite_thm2(G: Frontal, P, samples: int = 1024,
         "max_residual": worst,
         "max_normal_component": worst_ortho,
         "corollary_ok": corollary_ok,
-        "tol": tol,
-        "passed": worst <= tol and corollary_ok and worst_ortho <= 1e-9
+        "tol": THM2_TOL,
+        "passed": worst <= THM2_TOL and corollary_ok and worst_ortho <= 1e-9
         and tested > 0,
     }
 
 
 def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
-               nu2_min: float = 1e-3, poles=None) -> dict:
+               poles=None) -> dict:
     """The opening identity: the weighted sum of Gauss-component gradients
     cancels the gradient of the half-distance, wherever the normal
-    coefficient is bounded away from zero (points where |nu2| <= nu2_min
-    are skipped and counted)."""
+    coefficient is bounded away from zero (points where |nu2| <=
+    THM3_NU2_MIN are skipped and counted)."""
     grid = grid_for(F, samples, interior_margin=1e-3)
     poles = _poles_for(F, grid, n_poles, poles)
     fv = F.eval_f(grid)
@@ -189,7 +193,8 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
     tested = 0
     for P in poles:
         gamma = np.linalg.norm(fv - P, axis=1) / 2.0
-        scaled = opening_residual(F, P, grid, nu2_tol=nu2_min) / (1.0 + gamma)
+        scaled = opening_residual(F, P, grid, nu2_tol=THM3_NU2_MIN) \
+            / (1.0 + gamma)
         scaled = scaled[~np.isnan(scaled)]
         tested += scaled.size
         worst = max(worst, float(np.max(scaled, initial=0.0)))
@@ -206,7 +211,7 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
 
 
 def suite_thm4(F: Frontal, samples: int = 256, n_poles: int = 5,
-               rank_tol: float = 1e-6, poles=None) -> dict:
+               poles=None) -> dict:
     """Three-way agreement of the front criteria outside the rank-ambiguity
     band."""
     grid = grid_for(F, samples, interior_margin=1e-3)
@@ -215,7 +220,7 @@ def suite_thm4(F: Frontal, samples: int = 256, n_poles: int = 5,
     excluded = 0
     inconsistent = 0
     for P in poles:
-        rep = front_equivalence(F, P, grid, tol=rank_tol)
+        rep = front_equivalence(F, P, grid, tol=THM4_RANK_TOL)
         decided = ~rep.ambiguous
         excluded += int(rep.ambiguous.sum())
         tested += int(decided.sum())
@@ -231,8 +236,7 @@ def suite_thm4(F: Frontal, samples: int = 256, n_poles: int = 5,
     }
 
 
-def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096,
-                                tol: float = 1e-6) -> dict:
+def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096) -> dict:
     """The orthotomic of the square frontal: four mirror points, four
     vertex-centered arcs with the predicted radii on the side away from P,
     and the pedal as the 50% shrink toward P."""
@@ -280,7 +284,7 @@ def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096,
         # arc must lie on the opposite side of the chord from P
         side_P = np.sign(cross2(P - a))
         cross = cross2(pts - a)
-        if np.any(cross * side_P > tol):
+        if np.any(cross * side_P > SQUARE_TOL):
             side_ok = False
 
     pedv = ped.eval_f(t)
@@ -293,9 +297,9 @@ def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096,
         "max_radius_residual": worst_radius,
         "hemicircle_side_ok": side_ok,
         "max_pedal_shrink_residual": worst_shrink,
-        "tol": tol,
-        "passed": (worst_mirror <= tol and worst_radius <= tol and side_ok
-                   and worst_shrink <= 1e-10),
+        "tol": SQUARE_TOL,
+        "passed": (worst_mirror <= SQUARE_TOL and worst_radius <= SQUARE_TOL
+                   and side_ok and worst_shrink <= 1e-10),
     }
 
 

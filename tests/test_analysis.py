@@ -9,7 +9,8 @@ from frontalforge.errors import PoleOnSilhouetteError
 from frontalforge.frontal import _fd_jacobian
 from frontalforge.linalg import numeric_rank, singular_values
 from frontalforge.transforms import anti_orthotomic, sample_poles
-from frontalforge.verify import grid_for
+from frontalforge.verify import (THM2_COND_MAX, THM2_DET_MIN, THM3_NU2_MIN,
+                                 grid_for)
 
 # The four frontals and sampled poles of acceptance criterion 8.
 CRITERION_8 = ("cusp", "nonfront", "circle", "square")
@@ -208,7 +209,7 @@ class TestFiniteDifferenceOracle:
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_thm2_formula_and_skips(self, name):
-        det_min, cond_max = 1e-3, 1e3  # suite_thm2's defaults
+        det_min, cond_max = THM2_DET_MIN, THM2_COND_MAX
         G = catalog(name)
         P = _suite_poles(G, 1)[0]
         x = _subsample(grid_for(G, 1024, interior_margin=2e-4), 96, seed=2)
@@ -238,7 +239,7 @@ class TestFiniteDifferenceOracle:
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_thm3_residual(self, name):
-        nu2_min = 1e-3  # suite_thm3's default
+        nu2_min = THM3_NU2_MIN
         F = catalog(name)
         grid = grid_for(F, 256, interior_margin=1e-3)
         for i, P in enumerate(_suite_poles(F, 5)):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frontalforge.catalog import (_cube, catalog, catalog_names, smooth_step,
+from frontalforge.catalog import (_bump, _cube, _square_segments, catalog,
+                                  catalog_names, smooth_step,
                                   smooth_step_deriv, square_normal_components)
 from frontalforge.errors import CatalogParameterError, UnknownCatalogError
 from frontalforge.frontal import _fd_jacobian
@@ -172,3 +173,168 @@ class TestSquare:
         J = F.jac_nu(t)
         np.testing.assert_allclose(J, fd, atol=1e-8)
         assert np.all(J[np.floor(t[:, 0]) % 2 == 1] == 0.0)
+
+
+# The square as written before its segment table: one if/elif chain per
+# evaluator, and s' through boolean-mask assignment.  TestSquareByteOracle
+# holds the table and smooth_step_deriv to these bit for bit.
+def _ref_step_deriv(u):
+    a = _bump(u)
+    b = _bump(1.0 - u)
+    inner = (u > 0.0) & (u < 1.0)
+    out = np.zeros_like(u)
+    uu = np.where(inner, u, 0.5)
+    out[inner] = (a * b * (1.0 / uu**2 + 1.0 / (1.0 - uu) ** 2))[inner] \
+        / (a + b)[inner] ** 2
+    return out
+
+
+_REF_VERTS = {0: (1.0, -1.0), 2: (1.0, 1.0), 4: (-1.0, 1.0), 6: (-1.0, -1.0)}
+_REF_DNORMAL = {0: (1.0, 1.0), 2: (-1.0, 1.0), 4: (-1.0, -1.0),
+                6: (1.0, -1.0)}
+
+
+def _ref_xy(t):
+    seg, u = _square_segments(t)
+    s = smooth_step(u)
+    x = np.empty_like(u)
+    y = np.empty_like(u)
+    for k in range(8):
+        mk = seg == k
+        if k in _REF_VERTS:
+            x[mk], y[mk] = _REF_VERTS[k]
+        elif k == 1:
+            x[mk] = 1.0
+            y[mk] = -1.0 + 2.0 * s[mk]
+        elif k == 3:
+            x[mk] = 1.0 - 2.0 * s[mk]
+            y[mk] = 1.0
+        elif k == 5:
+            x[mk] = -1.0
+            y[mk] = 1.0 - 2.0 * s[mk]
+        else:
+            x[mk] = -1.0 + 2.0 * s[mk]
+            y[mk] = -1.0
+    return x, y
+
+
+def _ref_normal_components(t):
+    seg, u = _square_segments(np.asarray(t, dtype=float))
+    s = smooth_step(u)
+    n1 = np.empty_like(u)
+    n2 = np.empty_like(u)
+    for k in range(8):
+        mk = seg == k
+        if k == 0:
+            n1[mk], n2[mk] = s[mk], s[mk] - 1.0
+        elif k == 1:
+            n1[mk], n2[mk] = 1.0, 0.0
+        elif k == 2:
+            n1[mk], n2[mk] = 1.0 - s[mk], s[mk]
+        elif k == 3:
+            n1[mk], n2[mk] = 0.0, 1.0
+        elif k == 4:
+            n1[mk], n2[mk] = -s[mk], 1.0 - s[mk]
+        elif k == 5:
+            n1[mk], n2[mk] = -1.0, 0.0
+        elif k == 6:
+            n1[mk], n2[mk] = s[mk] - 1.0, -s[mk]
+        else:
+            n1[mk], n2[mk] = 0.0, -1.0
+    return n1, n2
+
+
+def _ref_f(x):
+    return np.stack(_ref_xy(x[:, 0]), axis=-1)
+
+
+def _ref_nu(x):
+    n1, n2 = _ref_normal_components(x[:, 0])
+    nrm = np.hypot(n1, n2)
+    return np.stack([n1 / nrm, n2 / nrm], axis=-1)
+
+
+def _ref_jac_f(x):
+    seg, u = _square_segments(x[:, 0])
+    ds = 2.0 * _ref_step_deriv(u)
+    dx = np.zeros_like(u)
+    dy = np.zeros_like(u)
+    dy[seg == 1] = ds[seg == 1]
+    dx[seg == 3] = -ds[seg == 3]
+    dy[seg == 5] = -ds[seg == 5]
+    dx[seg == 7] = ds[seg == 7]
+    return np.stack([dx, dy], axis=-1)[:, :, None]
+
+
+def _ref_jac_nu(x):
+    t = x[:, 0]
+    n1, n2 = _ref_normal_components(t)
+    nrm = np.hypot(n1, n2)
+    e1, e2 = n1 / nrm, n2 / nrm
+    seg, u = _square_segments(t)
+    ds = _ref_step_deriv(u)
+    dn1 = np.zeros_like(u)
+    dn2 = np.zeros_like(u)
+    for k, (a, b) in _REF_DNORMAL.items():
+        mk = seg == k
+        dn1[mk] = a * ds[mk]
+        dn2[mk] = b * ds[mk]
+    along = e1 * dn1 + e2 * dn2
+    return np.stack([(dn1 - along * e1) / nrm,
+                     (dn2 - along * e2) / nrm], axis=-1)[:, :, None]
+
+
+# Every integer t (where s = 0 and the sign of zero shows), half-integers
+# on both sides of 0, and seeded t outside the period.
+_ORACLE_GRIDS = {
+    **{f"linspace-{8 * 2**j}": np.linspace(0.0, 8.0, 8 * 2**j,
+                                           endpoint=False)
+       for j in range(14)},
+    "half-integers": np.arange(-32, 33) / 2.0,
+    "seeded": np.random.default_rng(20190702).uniform(-20.0, 30.0, 10**5),
+}
+
+
+def _assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    diff = got.view(np.int64) != want.view(np.int64)
+    assert not diff.any(), f"{what}: {int(diff.sum())} values differ"
+
+
+class TestSquareByteOracle:
+    @pytest.mark.parametrize("name", ["f", "nu", "jac_f", "jac_nu"])
+    def test_evaluator(self, name):
+        F = catalog("square")
+        ref = {"f": _ref_f, "nu": _ref_nu, "jac_f": _ref_jac_f,
+               "jac_nu": _ref_jac_nu}[name]
+        for label, t in _ORACLE_GRIDS.items():
+            _assert_same_bits(getattr(F, name)(t[:, None]), ref(t[:, None]),
+                              f"{name} on {label}")
+
+    def test_smooth_step_deriv(self):
+        offsets = {label: _square_segments(t)[1]
+                   for label, t in _ORACLE_GRIDS.items()}
+        offsets["edges"] = np.array([-1.0, -0.0, 0.0, 1e-150, 1e-3, 0.5,
+                                     1.0 - 2.0**-53, 1.0, 1.5])
+        for label, u in offsets.items():
+            _assert_same_bits(smooth_step_deriv(u), _ref_step_deriv(u),
+                              f"s' on {label}")
+
+    def test_tiny_offsets_are_flat(self):
+        # Below u ~ 1.5e-154, u**2 underflows and the masked formula gave
+        # 0 * inf = NaN; the table multiplies s' by zero slopes, so s' must
+        # be 0 there for jac_f to stay (0, 0) on the corner.
+        t = np.array([5e-324, 1e-300, 1e-160])
+        F = catalog("square")
+        with np.errstate(all="ignore"):  # -1/t and the reference's 1/u**2
+            np.testing.assert_array_equal(smooth_step_deriv(t), 0.0)
+            _assert_same_bits(F.jac_f(t[:, None]), _ref_jac_f(t[:, None]),
+                              "jac_f at tiny t")
+            np.testing.assert_array_equal(F.jac_nu(t[:, None]), 0.0)
+
+    def test_normal_components(self):
+        for label, t in _ORACLE_GRIDS.items():
+            for i, (got, want) in enumerate(zip(
+                    square_normal_components(t), _ref_normal_components(t))):
+                _assert_same_bits(got, want, f"n{i + 1} on {label}")

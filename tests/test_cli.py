@@ -202,6 +202,23 @@ class TestVerify:
                     "--poles", "0.1,0.2;0.3,0.1", "--samples", "32"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["--pole", "5,5"],
+                                      ["--poles", "0.1,0.2;0.3,0.1"],
+                                      ["--poles", "auto:2"]])
+    def test_poleless_suite_rejects_poles(self, argv, monkeypatch, capsys):
+        from frontalforge import cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("poles sampled for a suite without poles")
+
+        monkeypatch.setattr(cli, "sample_poles", no_sampling)
+        code = run(["verify", "--suite", "frontal-condition", "--catalog",
+                    "circle", "--samples", "32"] + argv)
+        assert code == EXIT_USAGE
+        assert "takes no pole" in capsys.readouterr().err
+        assert run(["verify", "--suite", "frontal-condition", "--catalog",
+                    "circle", "--samples", "32"]) == EXIT_OK
+
 
 class TestNegativeValues:
     def test_pole_after_space(self, capsys):

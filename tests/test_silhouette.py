@@ -158,7 +158,7 @@ def _dense_cells(F, bbox, resolution, grid, tol_frac=DEFAULT_NS_TOL_FRAC):
     grid = F.domain.wrap(grid)
     fv = F.eval_f(grid)
     nv = F.eval_nu(grid)
-    dmin, dmax, _ = _kernels.support_extrema(
+    dmin, dmax = _kernels.support_extrema(
         fv, nv, np.stack([gx.ravel(), gy.ravel()], axis=-1))
     scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
     tol = tol_frac * max(scale, 1.0)
