@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontal import Frontal
-from .linalg import numeric_rank, singular_values
+from .linalg import numeric_rank, row_norm, singular_values
 from .transforms import (_dot, _grad, _unit_jacobian, anti_orthotomic,
                          negative_pedal)
 
@@ -81,7 +81,7 @@ def cahn_hoffman(G: Frontal, P, x,
     ftilde = negative_pedal(G, P).result.eval_f(x)
     g, _, Jg, _ = G.eval(x, 1)
     u = g - P
-    gamma = np.linalg.norm(u, axis=1)
+    gamma = row_norm(u)
     nt = u / gamma[:, None]
     grad = _grad(Jg, nt)
     U, sv, Vt = np.linalg.svd(_unit_jacobian(nt, Jg, gamma),
@@ -98,7 +98,7 @@ def cahn_hoffman(G: Frontal, P, x,
     direct = ftilde - g
     return CahnHoffmanReport(
         x=x, direct=direct, formula=formula,
-        residual=np.linalg.norm(direct - formula, axis=1), det_jnu=det,
+        residual=row_norm(direct - formula), det_jnu=det,
         jnu_inv_norm=inv_norm, gamma=gamma, grad_gamma=grad,
         gauss_direction=nt, singular=singular)
 
@@ -127,7 +127,7 @@ def opening_residual(F: Frontal, P, x,
     P = np.asarray(P, dtype=float)
     fv, nv, Jf, _ = F.eval(x, 1)
     u = fv - P
-    r = np.linalg.norm(u, axis=1)
+    r = row_norm(u)
     # nu2 = (nu . u) / r; a pole on the image (r = 0) is degenerate too
     degenerate = np.abs(_dot(nv, u)) <= nu2_tol * r
     keep = ~degenerate

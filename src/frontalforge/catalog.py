@@ -41,7 +41,8 @@ def _bump(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     pos = u > 0.0
     safe = np.where(pos, u, 1.0)
-    return np.where(pos, np.exp(-1.0 / safe), 0.0)
+    with np.errstate(over="ignore"):  # -1/u is -inf below u ~ 5.6e-309
+        return np.where(pos, np.exp(-1.0 / safe), 0.0)
 
 
 # Veltkamp splitting constant 2**27 + 1 for IEEE double.

@@ -141,6 +141,10 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"known: {', '.join(verify.SUITES)}")
     samples = args.samples or verify.DEFAULT_SAMPLES[args.suite]
+    if args.suite == "square-reconstruction" \
+            and args.catalog not in (None, "square"):
+        raise UsageError("suite square-reconstruction runs on the square "
+                         f"only, not --catalog {args.catalog!r}")
     F = None if args.suite == "square-reconstruction" else _load_frontal(args)
     poles = None
     if args.pole or args.poles:

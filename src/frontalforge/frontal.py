@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
+from .linalg import row_norm
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FRONTAL_TOL = 1e-6
@@ -291,7 +292,7 @@ def check_frontal(F: Frontal, grid: np.ndarray,
         jet = (None, np.asarray(F.nu(grid), dtype=float),
                F._jacobian(grid, 0), None)
     _, nu, J, _ = jet or F.eval_wrapped(grid, 1)
-    unit_defect = float(np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)))
+    unit_defect = float(np.max(np.abs(row_norm(nu) - 1.0)))
     # residuals[k, j] = | J[k,:,j] . nu[k] |
     res = np.abs(np.einsum("kmj,km->kj", J, nu))
     flat = int(np.argmax(res))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .frontal import SampledMap
+from .linalg import row_norm
 
 # rows per chunk: a whole table as Python floats would outweigh its text
 _CHUNK_ROWS = 1024
@@ -40,12 +41,24 @@ def sampled_map_to_csv(sm: SampledMap) -> str:
     return "\n".join([header, *rows, ""])
 
 
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Row norms of v.  A finite row whose squares overflow is divided by
+    its largest |entry| first and its norm scaled back; every other row
+    keeps the bits of the plain norm."""
+    with np.errstate(over="ignore"):
+        out = row_norm(v)
+        scale = np.max(np.abs(v), axis=1)
+        huge = np.isinf(out) & np.isfinite(scale)
+        out[huge] = scale[huge] * row_norm(v[huge] / scale[huge, None])
+    return out
+
+
 def _split_arcs(points: np.ndarray) -> list[np.ndarray]:
     """Split a sampled curve where consecutive samples jump by more than
     10x the median step (mirror-point clusters joined to distant arcs)."""
     if points.shape[0] < 2:
         return [points]
-    steps = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    steps = _lengths(np.diff(points, axis=0))
     med = float(np.median(steps))
     if med <= 0.0:
         nz = steps[steps > 0]
@@ -65,7 +78,10 @@ def curve_to_svg(points: np.ndarray) -> str:
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = hi - lo
-    diag = float(np.linalg.norm(span))
+    with np.errstate(over="ignore"):
+        diag = float(np.linalg.norm(span))
+    if np.isinf(diag):  # the squares overflow (bbox beyond ~1.3e154)
+        diag = float(_lengths(span[None])[0])
     if diag <= 0.0:
         diag = 1.0
         span = np.array([1.0, 1.0])

@@ -1,5 +1,5 @@
-"""Small dense linear algebra helpers: tangent frames on the unit sphere,
-cofactor matrices, and tolerance-based rank estimation.
+"""Small dense linear algebra helpers: row norms, tangent frames on the
+unit sphere, cofactor matrices, and tolerance-based rank estimation.
 
 Everything here works on plain numpy arrays in low ambient dimension
 (m = n+1, typically 2 or 3); nothing is tuned for large matrices.
@@ -20,6 +20,18 @@ def as_unit(v: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"expected unit vector, got norm {nrm!r}")
     return v
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, m) array, summed column by
+    column: sqrt((a0*a0 + a1*a1) + a2*a2).  For m <= 3 this is the
+    summation order of np.linalg.norm(a, axis=1), so the two agree bit for
+    bit (inf, nan and overflow included), without its reduction overhead."""
+    a = np.asarray(a, dtype=float)
+    s = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        s += a[:, j] * a[:, j]
+    return np.sqrt(s, out=s)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import (EmptyNSSetError, GaussDegenerateError,
                      PoleOnSilhouetteError)
 from .frontal import Frontal
+from .linalg import row_norm
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
@@ -38,10 +40,16 @@ class TransformKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TransformResult:
+    """A transform of `source` relative to `pole`.  apply(x, f, nu[, Jf,
+    Jnu]) runs its arithmetic on a source jet already evaluated at the
+    wrapped points x and returns the bits of result.eval_wrapped(x, order),
+    so a caller holding that jet need not evaluate the source again."""
+
     result: Frontal
     source: Frontal
     pole: np.ndarray
     kind: TransformKind
+    apply: Callable[..., tuple]
 
 
 # kind -> (lambda, inverse?)
@@ -89,7 +97,8 @@ def transform(kind: TransformKind, F: Frontal, P,
 
     The result shares F's domain.  Its jet evaluates F's jet once, at the
     same order, on points that the result's own eval has already wrapped,
-    and carries first derivatives through by the chain rule:
+    and hands it to `apply` (see TransformResult), which carries first
+    derivatives through by the chain rule:
 
       inverse kinds, u = f-P, c = ||u||^2/(lambda d):
         Jf' = (2/lambda) Jf - nu (x) grad c - c Jnu,
@@ -105,12 +114,11 @@ def transform(kind: TransformKind, F: Frontal, P,
     P = np.asarray(P, dtype=float)
 
     if inverse:
-        def jet(x, order=0):
-            fv, nv, *J = F.eval_wrapped(x, order)
+        def apply(x, fv, nv, *J):
             u = fv - P
             d = _dot(u, nv)
             r2 = _dot(u, u)
-            r = np.linalg.norm(u, axis=1)
+            r = row_norm(u)
             bad = np.abs(d) <= degeneracy_tol * np.maximum(r, 1e-300)
             _raise_at_first(bad, x, d, PoleOnSilhouetteError)
             c = r2 / (lam * d)
@@ -118,7 +126,7 @@ def transform(kind: TransformKind, F: Frontal, P,
             base = fv if lam == 2.0 else 2.0 * fv - P
             ft = base - c[:, None] * nv
             nt = u / r[:, None]
-            if order == 0:
+            if not J:
                 return ft, nt
             Jf, Jn = J
             grad_d = _grad(Jf, nv) + _grad(Jn, u)
@@ -132,17 +140,16 @@ def transform(kind: TransformKind, F: Frontal, P,
         def f(x):
             return jet(x)[0]
     else:
-        def jet(x, order=0):
-            fv, nv, *J = F.eval_wrapped(x, order)
+        def apply(x, fv, nv, *J):
             u = fv - P
             d = _dot(u, nv)
             _raise_at_first(np.abs(d) <= degeneracy_tol, x, d,
                             GaussDegenerateError)
             nt = 2.0 * d[:, None] * nv + P - fv  # orthotomic minus source
-            norm = np.linalg.norm(nt, axis=1)
+            norm = row_norm(nt)
             nt /= norm[:, None]
             ft = lam * d[:, None] * nv + P
-            if order == 0:
+            if not J:
                 return ft, nt
             Jf, Jn = J
             grad_d = _grad(Jf, nv) + _grad(Jn, u)
@@ -159,13 +166,17 @@ def transform(kind: TransformKind, F: Frontal, P,
             fv, nv = F.eval_wrapped(x)
             return lam * _dot(fv - P, nv)[:, None] * nv + P
 
+    def jet(x, order=0):
+        return apply(x, *F.eval_wrapped(x, order))
+
     def nu(x):
         return jet(x)[1]
 
     out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
                   fd_step=F.fd_step, jet=jet,
                   name=f"{kind.value}({F.name or 'frontal'})")
-    return TransformResult(result=out, source=F, pole=P, kind=kind)
+    return TransformResult(result=out, source=F, pole=P, kind=kind,
+                           apply=apply)
 
 
 def orthotomic(F: Frontal, P, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
@@ -196,7 +207,7 @@ def negative_pedal(G: Frontal, P,
 
 def sample_poles(F: Frontal, grid: np.ndarray, count: int,
                  seed: int = POLE_SAMPLER_SEED,
-                 max_tries: int = 20000) -> np.ndarray:
+                 max_tries: int = 20000, values=None) -> np.ndarray:
     """Rejection-sample `count` poles inside the no-silhouette set of F.
 
     Candidates are drawn uniformly from the image bounding box inflated by
@@ -205,10 +216,13 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     POLE_MARGIN_FRAC * scale (scale = bounding-box diagonal).  Mixed signs
     mean a silhouette zero lies between samples, so such poles are rejected
     even when the sampled margin is large.  Fewer than `count` poles
-    accepted in max_tries candidates raise EmptyNSSetError.
+    accepted in max_tries candidates raise EmptyNSSetError.  values, when
+    given, is (f, nu) of F on the grid, which is then not evaluated again.
     """
-    grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
-    fv, nv = F.eval_wrapped(grid)
+    if values is None:
+        grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
+        values = F.eval_wrapped(grid)
+    fv, nv = values[:2]
     lo = fv.min(axis=0)
     hi = fv.max(axis=0)
     diag = float(np.linalg.norm(hi - lo))

@@ -11,8 +11,11 @@ import numpy as np
 from .analysis import cahn_hoffman, front_equivalence, opening_residual
 from .catalog import catalog
 from .frontal import Frontal, ParamDomain, check_frontal
-from .transforms import (anti_orthotomic, negative_pedal, orthotomic, pedal,
-                         sample_poles)
+from .linalg import row_norm
+from .transforms import anti_orthotomic, orthotomic, pedal, sample_poles
+
+# Unused here; bound because perfbench/tracer.py patches it in this module.
+from .transforms import negative_pedal  # noqa: F401
 
 
 def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray:
@@ -42,18 +45,13 @@ THM4_RANK_TOL = 1e-6    # thm4 numeric-rank tolerance
 SQUARE_TOL = 1e-6       # square-reconstruction mirror, radius and side
 
 
-def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None):
-    """The given poles as a (k, m) array, or `count` sampled NS poles."""
+def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None,
+               values=None):
+    """The given poles as a (k, m) array, or `count` sampled NS poles
+    (values: F's (f, nu) on the grid, when the caller holds them)."""
     if poles is None:
-        return sample_poles(F, grid, count)
+        return sample_poles(F, grid, count, values=values)
     return np.atleast_2d(np.asarray(poles, dtype=float))
-
-
-def _checked(G: Frontal, grid: np.ndarray):
-    """G's f and nu on the grid and the max residual of its frontal
-    condition, all from one order-1 evaluation of G."""
-    jet = G.eval(grid, 1)
-    return jet[0], jet[1], check_frontal(G, grid, jet=jet).max_residual
 
 
 def suite_frontal_condition(F: Frontal, samples: int = 2048) -> dict:
@@ -76,22 +74,27 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
                 poles=None) -> dict:
     """Orthotomic outputs: frontal condition with the induced Gauss map,
     the support identity ||f-f~|| ((f-P).nu) = 2 ((f~-P).nu~)^2, and
-    f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3."""
-    grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles, poles)
-    ft, nt = F.eval(grid)
+    f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3.  F is
+    evaluated once, at order 1; each orthotomic is applied to that jet."""
+    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
+    jet = F.eval_wrapped(grid, 1)
+    ft, nt = jet[:2]
+    poles = _poles_for(F, grid, n_poles, poles, values=jet)
     worst_identity = 0.0
     worst_frontal = 0.0
     min_separation = np.inf
     for P in poles:
-        fv, nv, residual = _checked(orthotomic(F, P).result, grid)
-        worst_frontal = max(worst_frontal, residual)
+        ortho = orthotomic(F, P)
+        ojet = ortho.apply(grid, *jet)
+        worst_frontal = max(worst_frontal, check_frontal(
+            ortho.result, grid, jet=ojet).max_residual)
+        fv, nv = ojet[:2]
+        del ojet  # its Jacobians serve the frontal check alone
         d_tilde = np.einsum("km,km->k", ft - P, nt)
-        lhs = np.linalg.norm(fv - ft, axis=1) \
-            * np.einsum("km,km->k", fv - P, nv)
+        sep = row_norm(fv - ft)
+        lhs = sep * np.einsum("km,km->k", fv - P, nv)
         worst_identity = max(worst_identity,
                              float(np.max(np.abs(lhs - 2.0 * d_tilde**2))))
-        sep = np.linalg.norm(fv - ft, axis=1)
         min_separation = min(min_separation,
                              float(np.min(sep[np.abs(d_tilde) > 1e-3])))
     return {
@@ -111,30 +114,36 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
                poles=None) -> dict:
     """Anti-orthotomic identities: induced-normal tangency, the support
     value (f~-P).nu~ = ||f-P||/2, the equidistance ||f~-P|| = ||f~-f||, and
-    both round trips with the orthotomic."""
-    grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles, poles)
-    fv = F.eval_f(grid)
+    both round trips with the orthotomic.  F is evaluated once, at order
+    1; the transforms are applied to that jet and to the values they give."""
+    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
+    jet = F.eval_wrapped(grid, 1)
+    fv, nv = jet[:2]
+    poles = _poles_for(F, grid, n_poles, poles, values=jet)
     worst = {"frontal": 0.0, "support": 0.0, "equidistance": 0.0,
              "roundtrip": 0.0}
     for P in poles:
-        anti = anti_orthotomic(F, P).result
-        ftv, ntv, residual = _checked(anti, grid)
-        worst["frontal"] = max(worst["frontal"], residual)
-        r = np.linalg.norm(fv - P, axis=1)
+        anti = anti_orthotomic(F, P)
+        ajet = anti.apply(grid, *jet)
+        worst["frontal"] = max(worst["frontal"], check_frontal(
+            anti.result, grid, jet=ajet).max_residual)
+        ftv, ntv = ajet[:2]
+        del ajet  # its Jacobians serve the frontal check alone
+        r = row_norm(fv - P)
         supp = np.einsum("km,km->k", ftv - P, ntv)
         worst["support"] = max(worst["support"],
                                float(np.max(np.abs(supp - r / 2.0))))
-        eq = np.abs(np.linalg.norm(ftv - P, axis=1)
-                    - np.linalg.norm(ftv - fv, axis=1))
+        eq = np.abs(row_norm(ftv - P) - row_norm(ftv - fv))
         worst["equidistance"] = max(worst["equidistance"], float(np.max(eq)))
         # orthotomic of the anti-orthotomic restores F ...
-        back1 = orthotomic(anti, P).result
+        back1 = orthotomic(anti.result, P).apply(grid, ftv, ntv)[0]
         # ... and anti-orthotomic of the orthotomic restores F
-        back2 = anti_orthotomic(orthotomic(F, P).result, P).result
+        ortho = orthotomic(F, P)
+        back2 = anti_orthotomic(ortho.result, P).apply(
+            grid, *ortho.apply(grid, fv, nv))[0]
         for back in (back1, back2):
-            worst["roundtrip"] = max(worst["roundtrip"], float(np.max(
-                np.linalg.norm(back.eval_f(grid) - fv, axis=1))))
+            worst["roundtrip"] = max(worst["roundtrip"],
+                                     float(np.max(row_norm(back - fv))))
     tols = {"frontal": 1e-6, "support": 1e-8, "equidistance": 1e-9,
             "roundtrip": 1e-8}
     return {
@@ -156,8 +165,8 @@ def suite_thm2(G: Frontal, P, samples: int = 1024) -> dict:
     rep = cahn_hoffman(G, P, grid, jnu_tol=THM2_DET_MIN)
     capped = ~rep.singular & (rep.jnu_inv_norm > THM2_COND_MAX)
     ok = ~rep.singular & ~capped
-    dn = np.linalg.norm(rep.direct[ok], axis=1)
-    gn = np.linalg.norm(rep.grad_gamma[ok], axis=1)
+    dn = row_norm(rep.direct[ok])
+    gn = row_norm(rep.grad_gamma[ok])
     worst = float(np.max(rep.residual[ok] / (1.0 + dn), initial=0.0))
     worst_ortho = float(np.max(np.abs(np.einsum(
         "km,km->k", rep.formula[ok], rep.gauss_direction[ok])), initial=0.0))
@@ -192,7 +201,7 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
     worst = 0.0
     tested = 0
     for P in poles:
-        gamma = np.linalg.norm(fv - P, axis=1) / 2.0
+        gamma = row_norm(fv - P) / 2.0
         scaled = opening_residual(F, P, grid, nu2_tol=THM3_NU2_MIN) \
             / (1.0 + gamma)
         scaled = scaled[~np.isnan(scaled)]
@@ -266,7 +275,7 @@ def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096) -> dict:
     for k, target in mirror.items():
         pts = fv[seg == k]
         worst_mirror = max(worst_mirror,
-                           float(np.max(np.linalg.norm(pts - target, axis=1))))
+                           float(np.max(row_norm(pts - target))))
 
     worst_radius = 0.0
     side_ok = True
@@ -274,7 +283,7 @@ def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096) -> dict:
         pts = fv[seg == k]
         radius = float(np.linalg.norm(center - P))
         worst_radius = max(worst_radius, float(np.max(np.abs(
-            np.linalg.norm(pts - center, axis=1) - radius))))
+            row_norm(pts - center) - radius))))
         a, b = endpoints[k]
         chord = b - a
 
@@ -288,7 +297,7 @@ def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096) -> dict:
             side_ok = False
 
     pedv = ped.eval_f(t)
-    worst_shrink = float(np.max(np.linalg.norm(pedv - (fv + P) / 2.0, axis=1)))
+    worst_shrink = float(np.max(row_norm(pedv - (fv + P) / 2.0)))
 
     return {
         "suite": "square-reconstruction",

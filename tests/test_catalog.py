@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,16 @@ class TestSmoothStep:
         mid = (u > 0.05) & (u < 0.95)
         assert np.all(np.diff(s[mid]) > 0.0)
         assert abs(smooth_step(np.array([0.5]))[0] - 0.5) < 1e-15
+
+    def test_tiny_arguments_are_zero_without_warning(self):
+        # -1/u overflows to -inf below u ~ 5.6e-309; exp(-inf) is 0
+        u = np.array([5e-324, 1e-310, 5.6e-309, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bump = _bump(u)
+            f = catalog("square").f(np.array([[5e-324]]))
+        assert bump.tobytes() == np.zeros(4).tobytes()
+        np.testing.assert_array_equal(f, [[1.0, -1.0]])
 
     def test_deriv_matches_fd(self):
         u = np.linspace(0.05, 0.95, 19)

@@ -140,6 +140,16 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["max_mirror_residual"] <= 1e-6
 
+    @pytest.mark.parametrize("name", ["circle", "no-such-frontal"])
+    def test_square_reconstruction_rejects_other_catalog(self, name, capsys):
+        assert run(["verify", "--suite", "square-reconstruction",
+                    "--catalog", name, "--samples", "64"]) == EXIT_USAGE
+        assert "square-reconstruction" in capsys.readouterr().err
+
+    def test_square_reconstruction_accepts_square(self, capsys):
+        assert run(["verify", "--suite", "square-reconstruction",
+                    "--catalog", "square", "--samples", "64"]) == EXIT_OK
+
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "thm99",
                     "--catalog", "circle"]) == EXIT_USAGE

@@ -188,10 +188,13 @@ class TestByteOracle:
     def test_svg_extremes(self):
         pts = np.array([[1e300, -1e300], [-1e300, 1e300], [1e16, 5e-324],
                         [-0.0, 0.1], [3.0, -1e-5]])
-        with np.errstate(over="ignore"):  # step norms and diagonal overflow
-            text = curve_to_svg(pts)
-            _same("\n".join(text.splitlines()[3:-2]),
-                  "\n".join(_ref_polylines(pts)))
+        text = curve_to_svg(pts)
+        _same("\n".join(text.splitlines()[3:-2]),
+              "\n".join(_ref_polylines(pts)))
+        # the diagonal's squares overflow; the scaled norm does not
+        stroke = float(text.split('stroke-width="')[1].split('"')[0])
+        assert np.isfinite(stroke)
+        assert stroke == 0.005 * (2e300 * np.sqrt(2.0))
 
     def test_svg_header(self):
         pts = np.array([[0.1, -0.0], [1e-5, 3.0], [0.1, 1e16]])

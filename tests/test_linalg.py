@@ -1,15 +1,56 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontalforge.linalg import cofactor, numeric_rank, tangent_frame
+from frontalforge.linalg import (cofactor, numeric_rank, row_norm,
+                                 tangent_frame)
 
 
 def unit_vectors(dim):
     return st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(
         np.array).filter(lambda v: np.linalg.norm(v) > 1e-3).map(
         lambda v: v / np.linalg.norm(v))
+
+
+# inf, nan, zeros of both signs, subnormals, and magnitudes whose squares
+# overflow (above ~1.34e154) or lose bits to gradual underflow
+_SPECIAL = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e-160,
+            1e154, -1.3e154, 1.35e154, 1e300, 1.5]
+
+
+def _bits_equal_numpy(a):
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.linalg.norm(a, axis=1)
+        got = row_norm(a)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+class TestRowNorm:
+    """row_norm against np.linalg.norm(a, axis=1), bit for bit."""
+
+    @pytest.mark.parametrize("k", [0, 1, 65536])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_rows(self, m, k):
+        rng = np.random.default_rng(10 * m + k % 7)
+        a = rng.standard_normal((k, m)) \
+            * 10.0 ** rng.integers(-320, 300, size=(k, m))
+        hit = rng.random((k, m)) < 0.05
+        a[hit] = rng.choice(_SPECIAL, size=int(hit.sum()))
+        assert _bits_equal_numpy(a)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_special_combination(self, m):
+        a = np.array(list(itertools.product(_SPECIAL, repeat=m)))
+        assert _bits_equal_numpy(a)
+        assert _bits_equal_numpy(a[::-1])  # non-contiguous rows
+
+    def test_overflowing_squares_read_inf(self):
+        with np.errstate(over="ignore"):
+            assert row_norm(np.array([[1e155, 0.0]]))[0] == np.inf
 
 
 class TestTangentFrame:

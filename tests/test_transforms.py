@@ -279,6 +279,28 @@ class TestSingleEvaluation:
         assert nv is fv and Jn is Jf
 
 
+class TestApply:
+    """apply on a held source jet gives the bits of the lazy result."""
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_matches_eval_wrapped(self, name, kind, order):
+        F = catalog(name)
+        x = F.domain.wrap(_grid(F, 256))
+        T = transform(kind, F, sample_poles(F, x, 1)[0])
+        held = T.apply(x, *F.eval_wrapped(x, order))
+        lazy = T.result.eval_wrapped(x, order)
+        assert len(held) == len(lazy) == 2 + 2 * order
+        for a, b in zip(held, lazy):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_survives_dataclass_replace(self):
+        F = catalog("circle")
+        T = orthotomic(F, [0.1, 0.2])
+        assert dataclasses.replace(T, result=F).apply is T.apply
+
+
 # sha256 of `frontalforge transform --out` (Gauss columns included, 256
 # samples) at these NS poles, recorded before the four transforms became one
 # construction.  `square` is left out: catalog._bump evaluates np.exp, whose
