@@ -11,8 +11,7 @@ from .errors import (CatalogParameterError, DomainError, EmptyNSSetError,
 from .frontal import (Frontal, FrontalCheck, ParamDomain, SampledMap,
                       check_frontal, interval, jacobian_f, jacobian_nu,
                       sample)
-from .linalg import (TangentFrame, cofactor, numeric_rank, singular_values,
-                     tangent_frame)
+from .linalg import numeric_rank, singular_values
 from .silhouette import (NSReport, RasterGrid, ns_membership, ns_raster,
                          raster_to_csv, raster_to_pgm)
 from .transforms import (TransformKind, TransformResult, anti_orthotomic,

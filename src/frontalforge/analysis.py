@@ -27,14 +27,14 @@ import numpy as np
 
 from .frontal import Frontal
 from .linalg import numeric_rank, row_norm, singular_values
-from .transforms import (_dot, _grad, _unit_jacobian, anti_orthotomic,
-                         negative_pedal)
+from .transforms import _dot, _grad, anti_orthotomic, negative_pedal
 
 # Unused here; bound because perfbench/tracer.py patches them in this module.
 from .frontal import _fd_jacobian, jacobian_f, jacobian_nu  # noqa: F401
-from .linalg import cofactor, tangent_frame  # noqa: F401
+cofactor = tangent_frame = None  # perfbench/tracer.py wraps, never calls them
 
 DEFAULT_JNU_TOL = 1e-8
+DEFAULT_RANK_TOL = 1e-6
 RANK_SCALE_FLOOR = 1.0
 AMBIGUOUS_BAND = (1e-8, 1e-4)
 
@@ -68,24 +68,23 @@ def cahn_hoffman(G: Frontal, P, x,
                  jnu_tol: float = DEFAULT_JNU_TOL) -> CahnHoffmanReport:
     """Compare the two computations of the negative-pedal offset f~ - g.
 
-    `direct` comes from the negative-pedal formula (which raises
-    PoleOnSilhouetteError unless P is in the NS set of G at every row).
-    `formula` is U S^-1 V^T grad(gamma) from the SVD J nu~ = U S V^T of the
-    ambient Gauss-map Jacobian J nu~ = (I - nu~ nu~^T) Jg / gamma: the
-    Moore-Penrose solution w of J nu~^T w = grad(gamma) with w orthogonal
-    to nu~, i.e. the inverse transpose of J nu~ read on the tangent space.
+    `direct` comes from the negative pedal applied to G's one order-1 jet
+    (it raises PoleOnSilhouetteError unless P is in the NS set of G at
+    every row).  `formula` is U S^-1 V^T grad(gamma) from the SVD
+    J nu~ = U S V^T of the negative pedal's Gauss-map Jacobian
+    J nu~ = (I - nu~ nu~^T) Jg / gamma: the Moore-Penrose solution w of
+    J nu~^T w = grad(gamma) with w orthogonal to nu~, i.e. the inverse
+    transpose of J nu~ read on the tangent space.
     The same singular values give |det J nu~| and the condition bound.
     """
     x = _rows(x, G.param_dim)
     P = np.asarray(P, dtype=float)
-    ftilde = negative_pedal(G, P).result.eval_f(x)
-    g, _, Jg, _ = G.eval(x, 1)
-    u = g - P
-    gamma = row_norm(u)
-    nt = u / gamma[:, None]
+    xw = G.domain.wrap(x)
+    g, _, Jg, _ = jet = G.eval_wrapped(xw, 1)
+    ftilde, nt, _, Jnt = negative_pedal(G, P).apply(xw, *jet)
+    gamma = row_norm(g - P)
     grad = _grad(Jg, nt)
-    U, sv, Vt = np.linalg.svd(_unit_jacobian(nt, Jg, gamma),
-                              full_matrices=False)
+    U, sv, Vt = np.linalg.svd(Jnt, full_matrices=False)
     det = np.prod(sv, axis=1)
     singular = det <= jnu_tol
     smin = sv[:, -1]
@@ -112,10 +111,11 @@ def opening_residual(F: Frontal, P, x,
     NaN where |nu2| <= nu2_tol, the rows where its coefficient is undefined
     (np.isnan of the result is their mask).
     Here nu~ = (f-P)/||f-P|| is the Gauss map of the anti-orthotomic and
-    J nu~ its Jacobian from the anti-orthotomic's jet, nu2 = nu . nu~ the
-    normal coefficient of nu along it, nu - nu2 nu~ its tangential part,
-    and gamma = ||f-P|| / 2 (so that f - P = 2 gamma nu~).  All gradients
-    are taken in parameter coordinates.  A small residual certifies that
+    J nu~ its Jacobian, from the anti-orthotomic applied to F's one jet on
+    the other rows, nu2 = nu . nu~ the normal coefficient of nu along it,
+    nu - nu2 nu~ its tangential part, and gamma = ||f-P|| / 2 (so that
+    f - P = 2 gamma nu~).  All gradients are taken in parameter
+    coordinates.  A small residual certifies that
     d(gamma) lies in the module generated by the components of d(nu~); the
     identity needs no nonsingularity of the Gauss map.
 
@@ -125,17 +125,19 @@ def opening_residual(F: Frontal, P, x,
     """
     x = _rows(x, F.param_dim)
     P = np.asarray(P, dtype=float)
-    fv, nv, Jf, _ = F.eval(x, 1)
+    xw = F.domain.wrap(x)
+    jet = F.eval_wrapped(xw, 1)
+    fv, nv = jet[:2]
     u = fv - P
     r = row_norm(u)
     # nu2 = (nu . u) / r; a pole on the image (r = 0) is degenerate too
     degenerate = np.abs(_dot(nv, u)) <= nu2_tol * r
     keep = ~degenerate
-    _, nt, _, Jnt = anti_orthotomic(F, P).result.eval(x[keep], 1)
-    nv, r, Jf = nv[keep], r[keep], Jf[keep]
+    _, nv, Jf, _ = jet = [a[keep] for a in jet]
+    _, nt, _, Jnt = anti_orthotomic(F, P).apply(xw[keep], *jet)
     nu2 = _dot(nv, nt)
     tangential = np.sign(nu2)[:, None] * (nv - nu2[:, None] * nt)
-    gamma = 0.5 * r
+    gamma = 0.5 * r[keep]
     grad_gamma = 0.5 * _grad(Jf, nt)
     total = gamma[:, None] * _grad(Jnt, tangential) \
         + np.abs(nu2)[:, None] * grad_gamma
@@ -149,7 +151,7 @@ def _stacked(J_top, J_bot):
     return np.concatenate([J_top, J_bot], axis=1)
 
 
-def is_front_at(F: Frontal, x, tol: float = 1e-6) -> np.ndarray:
+def is_front_at(F: Frontal, x, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Per row: True iff the pair map (f, nu) is an immersion there, i.e.
     the stacked Jacobian [Jf; Jnu] has full column rank.
 
@@ -176,7 +178,8 @@ class FrontReport:
     ambiguous: np.ndarray            # (k,) a sigma lies in AMBIGUOUS_BAND
 
 
-def front_equivalence(F: Frontal, P, x, tol: float = 1e-6) -> FrontReport:
+def front_equivalence(F: Frontal, P, x,
+                      tol: float = DEFAULT_RANK_TOL) -> FrontReport:
     """Evaluate the three equivalent front criteria at each row of x:
 
       (1) (f, nu) is an immersion,
@@ -184,20 +187,23 @@ def front_equivalence(F: Frontal, P, x, tol: float = 1e-6) -> FrontReport:
       (3) the paired map (f, f~) is an immersion.
 
     Each criterion is the full column rank of a stacked (2m, n) Jacobian,
-    decided as in is_front_at from one SVD per row and criterion.
-    `ambiguous` flags rows where any stacked Jacobian has a singular value
-    inside the rank-ambiguity band, where rank decisions are unreliable.
-    All four Jacobians come from order-1 jets (Frontal.eval).
+    decided as in is_front_at from one SVD per row and criterion.  The same
+    singular values flag as `ambiguous` the rows where any stacked Jacobian
+    has one inside the rank-ambiguity band, where rank decisions are
+    unreliable.  The anti-orthotomic is applied to F's one order-1 jet.
     """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     x = _rows(x, F.param_dim)
-    _, _, Jf, Jn = F.eval(x, 1)
-    _, _, Jft, Jnt = anti_orthotomic(F, P).result.eval(x, 1)
+    xw = F.domain.wrap(x)
+    _, _, Jf, Jn = jet = F.eval_wrapped(xw, 1)
+    _, _, Jft, Jnt = anti_orthotomic(F, P).apply(xw, *jet)
     S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
-    ranks = numeric_rank(S, tol=tol, scale_floor=RANK_SCALE_FLOOR)
-    full = ranks == F.param_dim
     sv = singular_values(S)
-    lo, hi = AMBIGUOUS_BAND
     ref = np.maximum(sv[..., :1], RANK_SCALE_FLOOR)
+    ranks = np.sum(sv > tol * ref, axis=-1)
+    full = ranks == F.param_dim
+    lo, hi = AMBIGUOUS_BAND
     in_band = (sv > lo * ref) & (sv < hi * ref)
     return FrontReport(x=x, rank_f_nu=ranks[0], rank_ftilde_nutilde=ranks[1],
                        rank_f_ftilde=ranks[2], is_front=full[2],

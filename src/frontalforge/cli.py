@@ -17,15 +17,18 @@ import sys
 import numpy as np
 
 from . import verify
-from .analysis import cahn_hoffman, front_equivalence
+from .analysis import (DEFAULT_JNU_TOL, DEFAULT_RANK_TOL, cahn_hoffman,
+                       front_equivalence)
 from .catalog import catalog, catalog_names
 from .errors import (CatalogParameterError, EmptyNSSetError,
                      FrontalForgeError, GaussDegenerateError,
                      PoleOnSilhouetteError, UnknownCatalogError)
 from .frontal import sample
 from .io import curve_to_svg, sampled_map_to_csv
-from .silhouette import ns_raster, raster_to_csv, raster_to_pgm
-from .transforms import TransformKind, sample_poles, transform
+from .silhouette import (DEFAULT_NS_TOL_FRAC, ns_raster, raster_to_csv,
+                         raster_to_pgm)
+from .transforms import (DEFAULT_DEGENERACY_TOL, TransformKind, sample_poles,
+                         transform)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -117,10 +120,7 @@ def cmd_transform(args) -> int:
     F = _load_frontal(args)
     P = _parse_pole(args.pole, F.ambient_dim)
     kind = TransformKind(args.kind)
-    kw = {}
-    if args.tol_degeneracy is not None:
-        kw["degeneracy_tol"] = args.tol_degeneracy
-    res = transform(kind, F, P, **kw).result
+    res = transform(kind, F, P, args.tol_degeneracy).result
     grid = verify.grid_for(F, args.samples)
     sm = sample(res, grid, with_gauss=not args.no_gauss)
     if args.out:
@@ -180,10 +180,7 @@ def cmd_ns(args) -> int:
                          "nx[,ny] with integers >= 2")
     res = (int(parts[0]), int(parts[-1]))
     grid = verify.grid_for(F, args.samples)
-    kw = {}
-    if args.tol_ns is not None:
-        kw["tol_frac"] = args.tol_ns
-    raster = ns_raster(F, (xmin, xmax, ymin, ymax), res, grid, **kw)
+    raster = ns_raster(F, (xmin, xmax, ymin, ymax), res, grid, args.tol_ns)
     if args.out_pgm:
         _write(args.out_pgm, raster_to_pgm(raster))
     if args.out_csv:
@@ -205,10 +202,7 @@ def cmd_cahn_hoffman(args) -> int:
     F = _load_frontal(args)
     P = _parse_pole(args.pole, F.ambient_dim)
     grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
-    kw = {}
-    if args.tol_jnu is not None:
-        kw["jnu_tol"] = args.tol_jnu
-    rep = cahn_hoffman(F, P, grid, **kw)
+    rep = cahn_hoffman(F, P, grid, args.tol_jnu)
     reports = [
         {"x": x, "singular": True} if singular else
         {"x": x, "direct": direct, "formula": formula, "residual": residual,
@@ -229,10 +223,7 @@ def cmd_front_check(args) -> int:
     F = _load_frontal(args)
     P = _parse_pole(args.pole, F.ambient_dim)
     grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
-    kw = {}
-    if args.tol_rank is not None:
-        kw["tol"] = args.tol_rank
-    rep = front_equivalence(F, P, grid, **kw)
+    rep = front_equivalence(F, P, grid, args.tol_rank)
     columns = [getattr(rep, key).tolist() for key in _FRONT_FIELDS]
     reports = [dict(zip(("x",) + _FRONT_FIELDS, row))
                for row in zip(grid.tolist(), *columns)]
@@ -262,6 +253,14 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _rank_tolerance(text: str) -> float:
+    """argparse type of --tol-rank: a finite real > 0 (a rank cutoff)."""
+    if _tolerance(text) == 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite real > 0, got {text!r}")
+    return float(text)
+
+
 def _add_frontal_args(p):
     p.add_argument("--catalog", help="catalog frontal name")
     p.add_argument("--param", action="append",
@@ -287,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-gauss", action="store_true",
                    help="omit the induced Gauss map columns")
     p.add_argument("--tol-degeneracy", type=_tolerance,
+                   default=DEFAULT_DEGENERACY_TOL,
                    help="override the pole degeneracy tolerance")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=1024)
     p.add_argument("--out-pgm")
     p.add_argument("--out-csv")
-    p.add_argument("--tol-ns", type=_tolerance,
+    p.add_argument("--tol-ns", type=_tolerance, default=DEFAULT_NS_TOL_FRAC,
                    help="override the membership margin fraction")
 
     p = sub.add_parser("cahn-hoffman",
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pole", required=True)
     p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--json", help="output path (default stdout)")
-    p.add_argument("--tol-jnu", type=_tolerance,
+    p.add_argument("--tol-jnu", type=_tolerance, default=DEFAULT_JNU_TOL,
                    help="override the Gauss-Jacobian determinant cutoff")
 
     p = sub.add_parser("front-check",
@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pole", required=True)
     p.add_argument("--samples", type=_positive_int, default=256)
     p.add_argument("--json", help="output path (default stdout)")
-    p.add_argument("--tol-rank", type=_tolerance,
+    p.add_argument("--tol-rank", type=_rank_tolerance,
+                   default=DEFAULT_RANK_TOL,
                    help="override the rank-decision tolerance")
 
     return ap

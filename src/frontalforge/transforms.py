@@ -40,15 +40,12 @@ class TransformKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TransformResult:
-    """A transform of `source` relative to `pole`.  apply(x, f, nu[, Jf,
-    Jnu]) runs its arithmetic on a source jet already evaluated at the
-    wrapped points x and returns the bits of result.eval_wrapped(x, order),
-    so a caller holding that jet need not evaluate the source again."""
+    """A transformed frontal `result`.  apply(x, f, nu[, Jf, Jnu]) runs its
+    arithmetic on a source jet already evaluated at the wrapped points x
+    and returns the bits of result.eval_wrapped(x, order), so a caller
+    holding that jet need not evaluate the source again."""
 
     result: Frontal
-    source: Frontal
-    pole: np.ndarray
-    kind: TransformKind
     apply: Callable[..., tuple]
 
 
@@ -175,8 +172,7 @@ def transform(kind: TransformKind, F: Frontal, P,
     out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
                   fd_step=F.fd_step, jet=jet,
                   name=f"{kind.value}({F.name or 'frontal'})")
-    return TransformResult(result=out, source=F, pole=P, kind=kind,
-                           apply=apply)
+    return TransformResult(result=out, apply=apply)
 
 
 def orthotomic(F: Frontal, P, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL

@@ -194,14 +194,15 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
     """The opening identity: the weighted sum of Gauss-component gradients
     cancels the gradient of the half-distance, wherever the normal
     coefficient is bounded away from zero (points where |nu2| <=
-    THM3_NU2_MIN are skipped and counted)."""
-    grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles, poles)
-    fv = F.eval_f(grid)
+    THM3_NU2_MIN are skipped and counted).  One order-0 evaluation of F
+    on the grid feeds the pole sampler and gamma."""
+    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
+    values = F.eval_wrapped(grid)
+    poles = _poles_for(F, grid, n_poles, poles, values=values)
     worst = 0.0
     tested = 0
     for P in poles:
-        gamma = row_norm(fv - P) / 2.0
+        gamma = row_norm(values[0] - P) / 2.0
         scaled = opening_residual(F, P, grid, nu2_tol=THM3_NU2_MIN) \
             / (1.0 + gamma)
         scaled = scaled[~np.isnan(scaled)]

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,62 @@ class TestFrontCriteria:
         g = F.domain.grid([32])
         rep = front_equivalence(F, sample_poles(F, g, 1)[0], g)
         assert rep.consistent.all() and rep.is_front.all()
+
+
+class TestRankFromOneSVD:
+    @pytest.mark.parametrize("tol", [0.0, -1e-6])
+    def test_non_positive_tol_raises(self, tol):
+        F = catalog("circle")
+        with pytest.raises(ValueError, match="tol must be positive"):
+            front_equivalence(F, [0.1, 0.2], F.domain.grid([8]), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-2, 0.5])
+    @pytest.mark.parametrize("name", CRITERION_8)
+    def test_ranks_match_numeric_rank(self, name, tol):
+        F = catalog(name)
+        grid = grid_for(F, 256, interior_margin=1e-3)
+        P = _suite_poles(F, 1)[0]
+        _, _, Jf, Jn = F.eval(grid, 1)
+        _, _, Jft, Jnt = anti_orthotomic(F, P).result.eval(grid, 1)
+        S = np.stack([np.concatenate(pair, axis=1) for pair in (
+            (Jf, Jn), (Jft, Jnt), (Jf, Jft))])
+        want = numeric_rank(S, tol=tol, scale_floor=RANK_SCALE_FLOOR)
+        rep = front_equivalence(F, P, grid, tol=tol)
+        for k, field in enumerate(("rank_f_nu", "rank_ftilde_nutilde",
+                                   "rank_f_ftilde")):
+            np.testing.assert_array_equal(getattr(rep, field), want[k])
+
+
+def _counting_rows(F, rows):
+    """F with every evaluator appending the row count of each call to
+    rows[its name]."""
+    def counted(key, fun):
+        def call(x):
+            rows[key].append(x.shape[0])
+            return fun(x)
+        return call
+
+    return dataclasses.replace(F, **{key: counted(key, getattr(F, key))
+                                     for key in ("f", "nu", "jac_f",
+                                                 "jac_nu")})
+
+
+class TestSingleEvaluation:
+    """Each analysis call evaluates its frontal once, on its k rows."""
+
+    @pytest.mark.parametrize("call", [
+        cahn_hoffman, opening_residual, front_equivalence],
+        ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("name", ["circle", "sphere"])
+    def test_each_evaluator_runs_once_per_row(self, name, call):
+        rows = defaultdict(list)
+        F = _counting_rows(catalog(name), rows)
+        x = grid_for(F, 64, interior_margin=1e-3)
+        P = _suite_poles(F, 1)[0]
+        rows.clear()
+        call(F, P, x)
+        k = x.shape[0]
+        assert rows == {key: [k] for key in ("f", "nu", "jac_f", "jac_nu")}
 
 
 def _per_row_front_reference(F, P, grid, tol=1e-6):

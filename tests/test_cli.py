@@ -11,6 +11,15 @@ def run(argv):
     return main(argv)
 
 
+# One command per --tol-* option, the option last.
+_TOL_COMMANDS = [
+    ["transform", "--catalog", "circle", "--kind", "pedal", "--pole", "0,0",
+     "--tol-degeneracy"],
+    ["ns", "--catalog", "circle", "--bbox=-2,2,-2,2", "--tol-ns"],
+    ["cahn-hoffman", "--catalog", "circle", "--pole", "0,0", "--tol-jnu"],
+    ["front-check", "--catalog", "circle", "--pole", "0,0", "--tol-rank"]]
+
+
 class TestCatalog:
     def test_lists_names(self, capsys):
         assert run(["catalog"]) == EXIT_OK
@@ -95,21 +104,22 @@ class TestTransform:
         assert exc.value.code == EXIT_USAGE
         assert "error: argument --samples" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["transform", "--catalog", "circle", "--kind", "pedal",
-         "--pole", "0,0", "--tol-degeneracy"],
-        ["ns", "--catalog", "circle", "--bbox=-2,2,-2,2", "--tol-ns"],
-        ["cahn-hoffman", "--catalog", "circle", "--pole", "0,0",
-         "--tol-jnu"],
-        ["front-check", "--catalog", "circle", "--pole", "0,0",
-         "--tol-rank"]],
-        ids=lambda c: c[-1])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "x"])
+    @pytest.mark.parametrize("command,tol", [
+        pytest.param(command, tol, id=f"{tol}-{command[-1]}")
+        for command in _TOL_COMMANDS
+        for tol in ("nan", "inf", "-0.5", "x")]
+        # a rank threshold must be positive; the other tolerances may be 0
+        + [pytest.param(_TOL_COMMANDS[-1], "0", id="0---tol-rank")])
     def test_bad_tolerance_is_usage_error(self, command, tol, capsys):
         with pytest.raises(SystemExit) as exc:
             run(command + [tol, "--samples", "8"])
         assert exc.value.code == EXIT_USAGE
         assert f"error: argument {command[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", _TOL_COMMANDS[:-1],
+                             ids=lambda c: c[-1])
+    def test_zero_tolerance_is_accepted(self, command, capsys):
+        assert run(command + ["0", "--samples", "8"]) == EXIT_OK
 
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["transform", "--catalog", "cusp", "--kind", "orthotomic",

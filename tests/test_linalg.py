@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontalforge.linalg import (cofactor, numeric_rank, row_norm,
-                                 tangent_frame)
-
-
-def unit_vectors(dim):
-    return st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(
-        np.array).filter(lambda v: np.linalg.norm(v) > 1e-3).map(
-        lambda v: v / np.linalg.norm(v))
+from frontalforge.linalg import numeric_rank, row_norm
 
 
 # inf, nan, zeros of both signs, subnormals, and magnitudes whose squares
@@ -51,71 +44,6 @@ class TestRowNorm:
     def test_overflowing_squares_read_inf(self):
         with np.errstate(over="ignore"):
             assert row_norm(np.array([[1e155, 0.0]]))[0] == np.inf
-
-
-class TestTangentFrame:
-    def test_axis_2d(self):
-        fr = tangent_frame(np.array([0.0, 1.0]))
-        assert fr.basis.shape == (2, 1)
-        assert abs(fr.basis[:, 0] @ np.array([0.0, 1.0])) == 0.0
-        # sign convention: the reflection at an exact axis is the identity
-        np.testing.assert_allclose(np.abs(fr.basis[:, 0]), [1.0, 0.0])
-
-    def test_axis_3d(self):
-        fr = tangent_frame(np.array([0.0, 0.0, 1.0]))
-        assert fr.basis.shape == (3, 2)
-        np.testing.assert_allclose(fr.basis[2, :], 0.0, atol=1e-15)
-
-    def test_diagonal_direction(self):
-        u = np.ones(3) / np.sqrt(3.0)
-        fr = tangent_frame(u)
-        for j in range(2):
-            assert abs(fr.basis[:, j] @ u) <= 1e-12
-            assert abs(fr.basis[:, j] @ fr.basis[:, j] - 1.0) <= 1e-12
-        assert abs(fr.basis[:, 0] @ fr.basis[:, 1]) <= 1e-12
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            tangent_frame(np.array([0.5, 0.5]))
-
-    @given(unit_vectors(3))
-    @settings(max_examples=200)
-    def test_frame_invariants_3d(self, u):
-        fr = tangent_frame(u)
-        G = fr.basis.T @ fr.basis
-        np.testing.assert_allclose(G, np.eye(2), atol=1e-11)
-        np.testing.assert_allclose(fr.basis.T @ u, 0.0, atol=1e-11)
-
-    @given(unit_vectors(4))
-    @settings(max_examples=100)
-    def test_frame_deterministic(self, u):
-        a = tangent_frame(u)
-        b = tangent_frame(u.copy())
-        np.testing.assert_array_equal(a.basis, b.basis)
-
-
-class TestCofactor:
-    def test_identity(self):
-        np.testing.assert_array_equal(cofactor(np.eye(2)), np.eye(2))
-
-    def test_2x2_adjugate(self):
-        M = np.array([[2.0, 3.0], [5.0, 7.0]])
-        C = cofactor(M)
-        np.testing.assert_allclose(M @ C.T, np.linalg.det(M) * np.eye(2),
-                                   atol=1e-12)
-
-    @given(st.integers(2, 4), st.integers(0, 10_000))
-    @settings(max_examples=100)
-    def test_adjugate_identity_random(self, n, seed):
-        M = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, n))
-        C = cofactor(M)
-        err = np.max(np.abs(M @ C.T - np.linalg.det(M) * np.eye(n)))
-        assert err <= 1e-10 * max(1.0, np.linalg.norm(M)) ** n
-
-    def test_singular_matrix_defined(self):
-        M = np.array([[1.0, 2.0], [2.0, 4.0]])
-        C = cofactor(M)
-        np.testing.assert_allclose(M @ C.T, 0.0, atol=1e-12)
 
 
 class TestNumericRank:
