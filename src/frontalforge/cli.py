@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -23,8 +25,10 @@ from .catalog import catalog, catalog_names
 from .errors import (CatalogParameterError, EmptyNSSetError,
                      FrontalForgeError, GaussDegenerateError,
                      PoleOnSilhouetteError, UnknownCatalogError)
-from .frontal import sample
-from .io import curve_to_svg, sampled_map_to_csv
+from .frontal import SampledMap, sample
+# curve_to_svg and sampled_map_to_csv stay bound for perfbench/tracer.py
+from .io import (csv_table, curve_to_svg, sampled_map_to_csv, svg_table,
+                 write_tables)
 from .silhouette import (DEFAULT_NS_TOL_FRAC, ns_raster, raster_to_csv,
                          raster_to_pgm)
 from .transforms import (DEFAULT_DEGENERACY_TOL, TransformKind, sample_poles,
@@ -103,8 +107,12 @@ def _resolve_poles(args, F, samples: int) -> np.ndarray:
                      for p in args.poles.split(";")])
 
 
+def _open(path: str):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -120,19 +128,34 @@ def cmd_transform(args) -> int:
     F = _load_frontal(args)
     P = _parse_pole(args.pole, F.ambient_dim)
     kind = TransformKind(args.kind)
-    res = transform(kind, F, P, args.tol_degeneracy).result
+    if args.svg and F.ambient_dim != 2:
+        raise UsageError("--svg requires ambient dimension 2")
+    paths = [p for p in (args.out, args.svg, args.source_out) if p]
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise UsageError("--out, --svg and --source-out must name "
+                         "different files")
+    T = transform(kind, F, P, args.tol_degeneracy)
     grid = verify.grid_for(F, args.samples)
-    sm = sample(res, grid, with_gauss=not args.no_gauss)
+    # F is evaluated once; the image is the transform applied to that jet
+    need_source = args.source_out or not args.no_gauss
+    source = sample(F, grid) if need_source else None
+    x = source.params if source else F.domain.wrap(grid)
+    if args.no_gauss:  # the forward kinds' image exists where d = 0
+        image = SampledMap(x, np.asarray(T.result.f(x), dtype=float))
+    else:
+        image = SampledMap(x, *T.apply(x, source.values, source.gauss))
+    tables = []
     if args.out:
-        _write(args.out, sampled_map_to_csv(sm))
+        tables.append((args.out, csv_table(image)))
     if args.svg:
-        if F.ambient_dim != 2:
-            raise UsageError("--svg requires ambient dimension 2")
-        _write(args.svg, curve_to_svg(sm.values))
+        tables.append((args.svg, svg_table(image.values)))
     if args.source_out:
-        _write(args.source_out, sampled_map_to_csv(sample(F, grid)))
-    if not (args.out or args.svg or args.source_out):
-        sys.stdout.write(sampled_map_to_csv(sm))
+        tables.append((args.source_out, csv_table(source)))
+    # every value is checked and every table laid out before a file opens
+    with ExitStack() as stack:
+        sinks = [(stack.enter_context(_open(path)), table)
+                 for path, table in tables]
+        write_tables(sinks or [(sys.stdout, csv_table(image))])
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .frontal import Frontal
-from .io import _format_rows
+from .io import Table, csv_rows, table_text
 
 DEFAULT_NS_TOL_FRAC = 1e-9
 # `ns_raster`'s error-band factor and rows per (rows, samples) block
@@ -189,5 +189,5 @@ def raster_to_csv(raster: RasterGrid) -> str:
     xs, ys = raster.centers()
     nx, ny = raster.resolution
     blocks = [np.tile(xs, ny)[:, None], np.repeat(ys, nx)[:, None],
-              raster.cells.astype(int).astype(object).reshape(-1, 1)]
-    return "\n".join(["x,y,member", *_format_rows(blocks, "\n"), ""])
+              raster.cells.astype(int).reshape(-1, 1)]
+    return table_text(Table("x,y,member\n", blocks, csv_rows))

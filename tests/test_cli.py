@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from frontalforge import cli
+from frontalforge.catalog import catalog
 from frontalforge.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE,
                               EXIT_VERIFY_FAIL, main)
 
@@ -120,6 +125,95 @@ class TestTransform:
                              ids=lambda c: c[-1])
     def test_zero_tolerance_is_accepted(self, command, capsys):
         assert run(command + ["0", "--samples", "8"]) == EXIT_OK
+
+    def test_svg_usage_error_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        code = run(["transform", "--catalog", "sphere", "--kind", "pedal",
+                    "--pole=0,0,0.1", "--out", str(out),
+                    "--svg", str(tmp_path / "b.svg")])
+        assert code == EXIT_USAGE
+        assert "--svg requires ambient dimension 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("paths", [("a.csv", "b.svg", "a.csv"),
+                                       ("a.csv", "a.csv", None),
+                                       (None, "b.svg", "./b.svg")],
+                             ids=["out=source", "out=svg", "svg=source"])
+    def test_one_file_twice_is_usage_error(self, paths, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["transform", "--catalog", "circle", "--kind", "pedal",
+                "--pole", "0.3,-0.2", "--samples", "8"]
+        for option, path in zip(("--out", "--svg", "--source-out"), paths):
+            if path:
+                argv += [option, path]
+        assert run(argv) == EXIT_USAGE
+        assert "must name different files" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_gauss_header(self, capsys):
+        code = run(["transform", "--catalog", "circle", "--kind", "pedal",
+                    "--pole", "0.3,-0.2", "--samples", "8", "--no-gauss"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t1,f1,f2"
+        assert len(lines) == 9
+
+    # a pole on the circle: d = 0 at t = 0, where the pedal's Gauss map
+    # degenerates but its image (the pole itself there) exists
+    _ON_CURVE = ["transform", "--catalog", "circle", "--kind", "pedal",
+                 "--pole=1,0", "--samples", "64"]
+
+    def test_no_gauss_writes_image_where_gauss_degenerates(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert run(self._ON_CURVE + ["--no-gauss", "--out", str(out)]) \
+            == EXIT_OK
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (64, 3)
+        np.testing.assert_array_equal(rows[0], [0.0, 1.0, 0.0])
+
+    def test_gauss_degenerates_without_no_gauss(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert run(self._ON_CURVE + ["--out", str(out)]) == EXIT_DEGENERATE
+        assert "GaussDegenerateError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_gauss_with_source_bytes_pinned(self, tmp_path):
+        # sha256 of both files as the separate writers produced them
+        out, src = tmp_path / "a.csv", tmp_path / "s.csv"
+        assert run(self._ON_CURVE + ["--no-gauss", "--out", str(out),
+                                     "--source-out", str(src)]) == EXIT_OK
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out, src)] == [
+            "72fc1c034acc55ccfab6086ff9c6496e2b57f6c432ecf856c106fa4528f4a991",
+            "31ea532148a8265eb27126ce6e15e360a1fc6e06c7463d90b5daf9e080bfb26a"]
+
+    @pytest.mark.parametrize("kind", ["orthotomic", "pedal",
+                                      "anti-orthotomic", "negative-pedal"])
+    def test_source_evaluated_once(self, kind, tmp_path, monkeypatch):
+        """--out, --svg and --source-out together run the source's f and nu
+        on each grid row once."""
+        rows = Counter()
+
+        def counted(key, fun):
+            def call(x):
+                rows[key] += x.shape[0]
+                return fun(x)
+            return call
+
+        def counting_catalog(name, params=None):
+            F = catalog(name, params)
+            return dataclasses.replace(F, f=counted("f", F.f),
+                                       nu=counted("nu", F.nu))
+
+        monkeypatch.setattr(cli, "catalog", counting_catalog)
+        code = run(["transform", "--catalog", "circle", "--kind", kind,
+                    "--pole", "0.3,-0.2", "--samples", "100",
+                    "--out", str(tmp_path / "a.csv"),
+                    "--svg", str(tmp_path / "a.svg"),
+                    "--source-out", str(tmp_path / "s.csv")])
+        assert code == EXIT_OK
+        assert rows == {"f": 100, "nu": 100}
 
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["transform", "--catalog", "cusp", "--kind", "orthotomic",

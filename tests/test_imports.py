@@ -11,7 +11,9 @@ SRC = Path(frontalforge.__file__).parent
 # Imported but unused on purpose: perfbench/tracer.py patches these names in
 # the module's namespace, so they must be bound there.
 TRACER_PATCHED = {("analysis", "_fd_jacobian"), ("analysis", "jacobian_f"),
-                  ("analysis", "jacobian_nu"), ("verify", "negative_pedal")}
+                  ("analysis", "jacobian_nu"), ("cli", "curve_to_svg"),
+                  ("cli", "sampled_map_to_csv"),
+                  ("verify", "negative_pedal")}
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 

@@ -1,12 +1,17 @@
+from io import StringIO
+
 import numpy as np
 import pytest
 
 from frontalforge.catalog import catalog
+from frontalforge.cli import main
 from frontalforge.frontal import SampledMap, sample
-from frontalforge.io import (_CHUNK_ROWS, _split_arcs, curve_to_svg,
-                             sampled_map_to_csv)
+from frontalforge.io import (_CHUNK_ROWS, _lengths, _split_arcs, csv_table,
+                             curve_to_svg, sampled_map_to_csv, svg_table,
+                             write_tables)
 from frontalforge.silhouette import RasterGrid, raster_to_csv
-from frontalforge.transforms import orthotomic
+from frontalforge.transforms import TransformKind, orthotomic, transform
+from frontalforge.verify import grid_for
 
 
 class TestCsv:
@@ -114,6 +119,31 @@ def _ref_polylines(points):
             for arc in _split_arcs(points)]
 
 
+def _ref_svg(points):
+    """The whole SVG document, its polylines from _ref_polylines."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    span = hi - lo
+    with np.errstate(over="ignore"):
+        diag = float(np.linalg.norm(span))
+    if np.isinf(diag):
+        diag = float(_lengths(span[None])[0])
+    if diag <= 0.0:
+        diag = 1.0
+        span = np.array([1.0, 1.0])
+    pad = 0.05 * span
+    pad[pad <= 0.0] = 0.05 * diag
+    x0, y0 = lo - pad
+    w, h = span + 2 * pad
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_ref_fmt(x0)} '
+        f'{_ref_fmt(y0)} {_ref_fmt(w)} {_ref_fmt(h)}">',
+        f'<g transform="translate(0 {_ref_fmt(2 * y0 + h)}) scale(1 -1)" '
+        f'fill="none" stroke="black" stroke-width="{_ref_fmt(0.005 * diag)}" '
+        f'stroke-linecap="round">',
+        *_ref_polylines(points), "</g>", "</svg>", ""])
+
+
 def _ref_raster_csv(raster):
     xs, ys = raster.centers()
     lines = ["x,y,member"]
@@ -138,6 +168,27 @@ def _table(seed, k, c):
     t[hit] = rng.choice(_SPECIAL, size=int(hit.sum()))
     t[0, :] = _SPECIAL[:c]  # every table, even a one-row one, has specials
     return t
+
+
+def _arcs_at(k, starts):
+    """k points of the unit circle, moved up by 100 from each row of
+    starts on, so that a new arc begins at each of those rows."""
+    t = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+    pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    for i in starts:
+        pts[i:, 1] += 100.0
+    return pts
+
+
+# (catalog, kind, pole): each kind, the sphere (no SVG), and a square whose
+# anti-orthotomic falls into 50-152 arcs, some of them across chunk edges
+_TRANSFORM_CASES = [pytest.param(name, kind, pole, id=f"{name}-{kind}")
+                    for name, kind, pole in [
+    ("square", "orthotomic", "0.3,-0.2"), ("cusp", "pedal", "0.1,1.5"),
+    ("circle", "anti-orthotomic", "0.3,-0.2"),
+    ("circle-cubic", "negative-pedal", "0.1,0.2"),
+    ("sphere", "anti-orthotomic", "0.1,0.2,-0.1"),
+    ("square", "anti-orthotomic", "0.6763929203677508,0.8455041975773083")]]
 
 
 def _same(text, ref):
@@ -184,6 +235,55 @@ class TestByteOracle:
                       for ln in lines[3:-2]
                       for p in ln[len('<polyline points="'):-3].split()]),
             pts)
+
+    @pytest.mark.parametrize("k", _ROWS)
+    def test_shared_tables(self, k):
+        """Three tables streamed together, sharing the t and f blocks as a
+        transform's CSV, SVG and source CSV do, each equal to its own
+        reference; the SVG has arcs that start on chunk edges."""
+        C = _CHUNK_ROWS
+        starts = sorted({1, C - 1, C, C + 1, 2 * C, k - 1} & set(range(1, k)))
+        pts = _arcs_at(k, starts)
+        assert np.cumsum([len(a) for a in _split_arcs(pts)])[:-1].tolist() \
+            == starts
+        t = _table(k, k, 5)
+        image = SampledMap(params=t[:, :1], values=pts, gauss=t[:, 1:3])
+        source = SampledMap(params=image.params, values=t[:, 3:],
+                            gauss=t[:, 3:])
+        files = [StringIO() for _ in range(3)]
+        write_tables(list(zip(files, [csv_table(image), svg_table(pts),
+                                      csv_table(source)])))
+        _same(files[0].getvalue(), _ref_csv(image))
+        _same(files[1].getvalue(), _ref_svg(pts))
+        _same(files[2].getvalue(), _ref_csv(source))
+
+    # `--samples 1` still samples two points, so 2 stands in for 1 row
+    @pytest.mark.parametrize("k", [2, *_ROWS[1:]])
+    @pytest.mark.parametrize("name,kind,pole", _TRANSFORM_CASES)
+    def test_transform_files(self, name, kind, pole, k, tmp_path):
+        """`transform --out --svg --source-out` against the reference
+        writers, each run on its own evaluation of the transform or the
+        source."""
+        paths = {opt: tmp_path / opt for opt in ("out", "svg", "source-out")}
+        planar = name != "sphere"
+        argv = ["transform", "--catalog", name, "--kind", kind,
+                f"--pole={pole}", "--samples", str(k)]
+        for opt, path in paths.items():
+            if planar or opt != "svg":
+                argv += [f"--{opt}", str(path)]
+        assert main(argv) == 0
+        F = catalog(name)
+        grid = grid_for(F, k)
+        P = np.array([float(v) for v in pole.split(",")])
+        sm = sample(transform(TransformKind(kind), F, P).result, grid)
+        text = {opt: p.read_bytes().decode() for opt, p in paths.items()
+                if p.exists()}
+        _same(text["out"], _ref_csv(sm))
+        _same(text["source-out"], _ref_csv(sample(F, grid)))
+        if planar:
+            _same(text["svg"], _ref_svg(sm.values))
+        else:
+            assert "svg" not in text
 
     def test_svg_extremes(self):
         pts = np.array([[1e300, -1e300], [-1e300, 1e300], [1e16, 5e-324],

@@ -41,3 +41,25 @@ def test_traced_commands_run_and_count(tracer_module, tmp_path):
     # one batched call covers all 9 grid points
     assert metrics["analysis.front_equivalence_calls"] == 1
     assert metrics["analysis.rows_per_call"] == 9
+
+
+def test_traced_transform_runs(tracer_module, tmp_path):
+    """The tracer patches cli.sample, cli.sampled_map_to_csv,
+    cli.curve_to_svg and cli._write by name; a traced transform writing all
+    three files still runs, and evaluates the source once."""
+    t = tracer_module.Tracer()
+    t.install()
+    try:
+        code = main(["transform", "--catalog", "square", "--kind",
+                     "orthotomic", "--pole=0.3,-0.2", "--samples", "64",
+                     "--out", str(tmp_path / "a.csv"),
+                     "--svg", str(tmp_path / "a.svg"),
+                     "--source-out", str(tmp_path / "s.csv")])
+    finally:
+        t.uninstall()
+    assert code == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.csv", "a.svg", "s.csv"]
+    metrics = t.metrics(round_wall=0.0)
+    assert metrics["catalog.eval_rows"] == 2 * 64  # f and nu, once each
+    assert metrics["cli.transform_s"] > 0.0
