@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontal import Frontal
-from .linalg import numeric_rank, row_norm, singular_values
+from .linalg import (RANK_SCALE_FLOOR, numeric_rank, row_norm,
+                     singular_values)
 from .transforms import _dot, _grad, anti_orthotomic, negative_pedal
 
 # Unused here; bound because perfbench/tracer.py patches them in this module.
@@ -35,7 +36,6 @@ cofactor = tangent_frame = None  # perfbench/tracer.py wraps, never calls them
 
 DEFAULT_JNU_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-6
-RANK_SCALE_FLOOR = 1.0
 AMBIGUOUS_BAND = (1e-8, 1e-4)
 
 
@@ -155,14 +155,11 @@ def is_front_at(F: Frontal, x, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Per row: True iff the pair map (f, nu) is an immersion there, i.e.
     the stacked Jacobian [Jf; Jnu] has full column rank.
 
-    The rank threshold is tol * max(sigma_max, 1): a floor at unit scale
-    keeps numerical noise on totally degenerate points from reading as
-    rank.
+    The rank threshold is tol * max(sigma_max, 1), as in numeric_rank.
     """
     x = _rows(x, F.param_dim)
     _, _, Jf, Jn = F.eval(x, 1)
-    return numeric_rank(_stacked(Jf, Jn), tol=tol,
-                        scale_floor=RANK_SCALE_FLOOR) == F.param_dim
+    return numeric_rank(_stacked(Jf, Jn), tol) == F.param_dim
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,8 @@ def _cube(t: np.ndarray) -> np.ndarray:
 
 
 def _circle(R: float = 1.0) -> Frontal:
-    if R <= 0.0:
-        raise CatalogParameterError("circle: R must be positive")
+    if not (math.isfinite(R) and R > 0.0):
+        raise CatalogParameterError("circle: R must be finite and positive")
 
     def f(x):
         t = x[:, 0]
@@ -100,8 +100,9 @@ def _circle(R: float = 1.0) -> Frontal:
 
 
 def _circle_cubic(c: float = 1.2) -> Frontal:
-    if c <= 0.0:
-        raise CatalogParameterError("circle-cubic: c must be positive")
+    if not (math.isfinite(c) and c > 0.0):
+        raise CatalogParameterError(
+            "circle-cubic: c must be finite and positive")
 
     def f(x):
         t3 = _cube(x[:, 0])

@@ -164,10 +164,14 @@ def cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"known: {', '.join(verify.SUITES)}")
     samples = args.samples or verify.DEFAULT_SAMPLES[args.suite]
-    if args.suite == "square-reconstruction" \
-            and args.catalog not in (None, "square"):
-        raise UsageError("suite square-reconstruction runs on the square "
-                         f"only, not --catalog {args.catalog!r}")
+    if args.suite == "square-reconstruction":
+        if args.catalog not in (None, "square"):
+            raise UsageError("suite square-reconstruction runs on the square "
+                             f"only, not --catalog {args.catalog!r}")
+        if samples < verify.SQUARE_MIN_SAMPLES:
+            raise UsageError("suite square-reconstruction needs --samples "
+                             f">= {verify.SQUARE_MIN_SAMPLES}, one per "
+                             "segment of the square")
     F = None if args.suite == "square-reconstruction" else _load_frontal(args)
     poles = None
     if args.pole or args.poles:

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import DomainError
 from .linalg import row_norm
 
-DEFAULT_FD_STEP = 1e-5
-DEFAULT_FRONTAL_TOL = 1e-6
+FD_STEP = 1e-5       # central-difference step of frontals without a jac
+FRONTAL_TOL = 1e-6   # max |df . nu| that check_frontal passes
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ class ParamDomain:
                     out[outside, j] = w
         return out
 
-    def contains(self, x: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-        x = self.wrap(x)
-        ok = np.ones(x.shape[0], dtype=bool)
-        for j in range(self.dim):
-            if not self.periodic[j]:
-                ok &= (x[:, j] >= self.lo[j] - atol)
-                ok &= (x[:, j] <= self.hi[j] + atol)
-        return ok
-
     def grid(self, counts) -> np.ndarray:
         """Regular sample grid, shape (prod(counts), n).
 
@@ -112,7 +103,7 @@ class Frontal:
 
     f, nu: vectorized evaluators (k, n) -> (k, m).  jac_f / jac_nu, when
     given, are analytic Jacobian evaluators (k, n) -> (k, m, n); otherwise
-    central finite differences with step fd_step are used.  jet, when given,
+    central finite differences with step FD_STEP are used.  jet, when given,
     evaluates (f, nu) and, at order 1, (Jf, Jnu) together on wrapped points;
     `eval` then uses it, and f and nu are its order-0 parts.  All evaluators
     receive points already wrapped into the domain.
@@ -124,7 +115,6 @@ class Frontal:
     ambient_dim: int
     jac_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_nu: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
     name: str = ""
     params: dict = field(default_factory=dict)
     jet: Optional[Callable[[np.ndarray, int], tuple]] = None
@@ -167,7 +157,7 @@ class Frontal:
         jac, fun = ((self.jac_f, self.f), (self.jac_nu, self.nu))[which]
         if jac is not None:
             return np.asarray(jac(x), dtype=float)
-        return _fd_jacobian(fun, self.domain, x, self.fd_step)
+        return _fd_jacobian(fun, self.domain, x)
 
 
 @dataclass(frozen=True)
@@ -189,21 +179,20 @@ class SampledMap:
                 raise ValueError("non-finite entries in sampled map")
 
 
-def sample(F: Frontal, x: np.ndarray, with_gauss: bool = True) -> SampledMap:
+def sample(F: Frontal, x: np.ndarray) -> SampledMap:
     x = F.domain.wrap(x)
-    if with_gauss:
-        vals, gauss = F.eval_wrapped(x)
-    else:
-        vals, gauss = np.asarray(F.f(x), dtype=float), None
+    vals, gauss = F.eval_wrapped(x)
     return SampledMap(params=x, values=vals, gauss=gauss)
 
 
-def _fd_jacobian(fun, domain: ParamDomain, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference Jacobian of a vectorized map, batch shape (k, m, n).
+def _fd_jacobian(fun, domain: ParamDomain, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a vectorized map, batch shape (k, m, n),
+    with step h = FD_STEP.
 
     Points exactly on a non-periodic boundary get second-order one-sided
     stencils; interior points closer than h to such a boundary are rejected.
     """
+    h = FD_STEP
     x = domain.wrap(np.atleast_2d(np.asarray(x, dtype=float)))
     k, n = x.shape
     f0 = np.asarray(fun(x), dtype=float)
@@ -229,7 +218,7 @@ def _fd_jacobian(fun, domain: ParamDomain, x: np.ndarray, h: float) -> np.ndarra
         bad = (~on_lo & (d_lo < h)) | (~on_hi & (d_hi < h))
         if np.any(bad):
             raise DomainError(
-                f"axis {j}: point within fd_step={h} of a non-periodic "
+                f"axis {j}: point within FD_STEP={h} of a non-periodic "
                 f"boundary (first offender {x[np.argmax(bad)]})")
         xp = x.copy()
         xm = x.copy()
@@ -268,15 +257,13 @@ class FrontalCheck:
     max_residual: float
     worst_x: np.ndarray
     max_unit_defect: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= FRONTAL_TOL
 
 
 def check_frontal(F: Frontal, grid: np.ndarray,
-                  tol: float = DEFAULT_FRONTAL_TOL,
                   jet: Optional[tuple] = None) -> FrontalCheck:
     """Max over grid points and Jacobian columns of |df_column . nu|.
 
@@ -298,4 +285,4 @@ def check_frontal(F: Frontal, grid: np.ndarray,
     flat = int(np.argmax(res))
     worst = grid[flat // res.shape[1]]
     return FrontalCheck(max_residual=float(res.max()), worst_x=worst,
-                        max_unit_defect=unit_defect, tol=tol)
+                        max_unit_defect=unit_defect)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+RANK_SCALE_FLOOR = 1.0  # keeps noise on degenerate points from reading as rank
+
 
 def row_norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (k, m) array, summed column by
@@ -21,19 +23,18 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
-def numeric_rank(M: np.ndarray, tol: float = 1e-6, scale_floor: float = 0.0):
-    """Number of singular values exceeding tol * max(sigma_max, scale_floor).
+def numeric_rank(M: np.ndarray, tol: float):
+    """Number of singular values above tol * max(sigma_max, RANK_SCALE_FLOOR).
 
     M is one matrix, giving an int, or a stack (..., a, b), giving an int
-    array of the stack's shape.  scale_floor guards rank decisions on
-    matrices whose entries are pure numerical noise (sigma_max itself
-    tiny): with the default 0.0 the threshold is purely relative.
+    array of the stack's shape.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     sv = singular_values(M)
     # sv[..., :1] is sigma_max, or empty (rank 0) for an empty matrix
-    rank = np.sum(sv > tol * np.maximum(sv[..., :1], scale_floor), axis=-1)
+    rank = np.sum(sv > tol * np.maximum(sv[..., :1], RANK_SCALE_FLOOR),
+                  axis=-1)
     return int(rank) if rank.ndim == 0 else rank
 
 

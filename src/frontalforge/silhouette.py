@@ -68,13 +68,13 @@ def _ns_tol(scale: float, tol_frac: float) -> float:
     return tol_frac * max(scale, 1.0)
 
 
-def ns_membership(F: Frontal, P, grid: np.ndarray,
-                  tol_frac: float = DEFAULT_NS_TOL_FRAC) -> NSReport:
+def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
     """Grid-relative no-silhouette membership of the pole P.
 
     margin = min over grid of |(f(x)-P).nu(x)|; member iff the support value
     keeps one sign on the grid and the margin exceeds a scale-aware
-    threshold (tol_frac times the image bbox diagonal).
+    threshold (DEFAULT_NS_TOL_FRAC times the image bbox diagonal, at
+    least 1).
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     if grid.shape[0] == 0:
@@ -83,7 +83,7 @@ def ns_membership(F: Frontal, P, grid: np.ndarray,
     fv, nv = F.eval_wrapped(grid)
     d = np.einsum("km,km->k", fv - P, nv)
     scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
-    tol = _ns_tol(scale, tol_frac)
+    tol = _ns_tol(scale, DEFAULT_NS_TOL_FRAC)
     member = bool(d.min() > tol or d.max() < -tol)
     i = int(np.argmin(np.abs(d)))
     return NSReport(member=member, margin=float(abs(d[i])),

@@ -28,6 +28,7 @@ from .linalg import row_norm
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
+POLE_MAX_TRIES = 20000  # candidates sample_poles draws before giving up
 POLE_MARGIN_FRAC = 1e-3  # sampled poles' support margin / image scale
 
 
@@ -170,40 +171,32 @@ def transform(kind: TransformKind, F: Frontal, P,
         return jet(x)[1]
 
     out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
-                  fd_step=F.fd_step, jet=jet,
-                  name=f"{kind.value}({F.name or 'frontal'})")
+                  jet=jet, name=f"{kind.value}({F.name or 'frontal'})")
     return TransformResult(result=out, apply=apply)
 
 
-def orthotomic(F: Frontal, P, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-               ) -> TransformResult:
+def orthotomic(F: Frontal, P) -> TransformResult:
     """Mirror images of P in the tangent hyperplanes of F."""
-    return transform(TransformKind.ORTHOTOMIC, F, P, degeneracy_tol)
+    return transform(TransformKind.ORTHOTOMIC, F, P)
 
 
-def pedal(F: Frontal, P, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-          ) -> TransformResult:
+def pedal(F: Frontal, P) -> TransformResult:
     """Feet of the perpendiculars from P to the tangent hyperplanes of F."""
-    return transform(TransformKind.PEDAL, F, P, degeneracy_tol)
+    return transform(TransformKind.PEDAL, F, P)
 
 
-def anti_orthotomic(F: Frontal, P,
-                    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-                    ) -> TransformResult:
+def anti_orthotomic(F: Frontal, P) -> TransformResult:
     """The unique frontal whose orthotomic relative to P is F."""
-    return transform(TransformKind.ANTI_ORTHOTOMIC, F, P, degeneracy_tol)
+    return transform(TransformKind.ANTI_ORTHOTOMIC, F, P)
 
 
-def negative_pedal(G: Frontal, P,
-                   degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-                   ) -> TransformResult:
+def negative_pedal(G: Frontal, P) -> TransformResult:
     """The unique frontal whose pedal relative to P is G."""
-    return transform(TransformKind.NEGATIVE_PEDAL, G, P, degeneracy_tol)
+    return transform(TransformKind.NEGATIVE_PEDAL, G, P)
 
 
 def sample_poles(F: Frontal, grid: np.ndarray, count: int,
-                 seed: int = POLE_SAMPLER_SEED,
-                 max_tries: int = 20000, values=None) -> np.ndarray:
+                 values=None) -> np.ndarray:
     """Rejection-sample `count` poles inside the no-silhouette set of F.
 
     Candidates are drawn uniformly from the image bounding box inflated by
@@ -212,7 +205,8 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     POLE_MARGIN_FRAC * scale (scale = bounding-box diagonal).  Mixed signs
     mean a silhouette zero lies between samples, so such poles are rejected
     even when the sampled margin is large.  Fewer than `count` poles
-    accepted in max_tries candidates raise EmptyNSSetError.  values, when
+    accepted in POLE_MAX_TRIES candidates, drawn from a generator seeded
+    with POLE_SAMPLER_SEED, raise EmptyNSSetError.  values, when
     given, is (f, nu) of F on the grid, which is then not evaluated again.
     """
     if values is None:
@@ -226,10 +220,10 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     lo = lo - pad
     hi = hi + pad
     scale = max(diag, 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POLE_SAMPLER_SEED)
     a = np.einsum("km,km->k", fv, nv)
     poles = []
-    for _ in range(max_tries):
+    for _ in range(POLE_MAX_TRIES):
         P = rng.uniform(lo, hi)
         d = a - nv @ P
         if float(d.min()) > POLE_MARGIN_FRAC * scale \
@@ -239,4 +233,4 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
                 return np.array(poles)
     raise EmptyNSSetError(
         f"pole sampler found only {len(poles)}/{count} valid poles "
-        f"in {max_tries} tries")
+        f"in {POLE_MAX_TRIES} tries")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .analysis import cahn_hoffman, front_equivalence, opening_residual
 from .catalog import catalog
-from .frontal import Frontal, ParamDomain, check_frontal
+from .frontal import FRONTAL_TOL, Frontal, ParamDomain, check_frontal
 from .linalg import row_norm
 from .transforms import anti_orthotomic, orthotomic, pedal, sample_poles
 
@@ -35,17 +35,18 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
     return dom.grid([per_axis] * n)
 
 
-FRONTAL_TOL = 1e-6      # |df . nu|: frontal-condition, prop1's orthotomic
+N_POLES = 5             # sampled poles of prop1, thm1, thm3 and thm4
 PROP1_TOL = 1e-8        # prop1 support identity
 THM2_TOL = 1e-5         # thm2 residual / (1 + |direct offset|)
 THM2_DET_MIN = 1e-3     # thm2 skips |det J nu~| <= THM2_DET_MIN ...
 THM2_COND_MAX = 1e3     # ... and ||(J nu~)^-1|| > THM2_COND_MAX
 THM3_NU2_MIN = 1e-3     # thm3 skips |nu2| <= THM3_NU2_MIN
-THM4_RANK_TOL = 1e-6    # thm4 numeric-rank tolerance
 SQUARE_TOL = 1e-6       # square-reconstruction mirror, radius and side
+SQUARE_POLE = (0.3, -0.2)  # square-reconstruction's pole when given none
+SQUARE_MIN_SAMPLES = 8  # one sample on each segment of the square
 
 
-def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None,
+def _poles_for(F: Frontal, grid: np.ndarray, poles, count: int = N_POLES,
                values=None):
     """The given poles as a (k, m) array, or `count` sampled NS poles
     (values: F's (f, nu) on the grid, when the caller holds them)."""
@@ -54,10 +55,10 @@ def _poles_for(F: Frontal, grid: np.ndarray, count: int, poles=None,
     return np.atleast_2d(np.asarray(poles, dtype=float))
 
 
-def suite_frontal_condition(F: Frontal, samples: int = 2048) -> dict:
+def suite_frontal_condition(F: Frontal, samples: int) -> dict:
     """The tangency condition df . nu = 0 on a sample grid."""
     grid = grid_for(F, samples)
-    rep = check_frontal(F, grid, tol=FRONTAL_TOL)
+    rep = check_frontal(F, grid)
     return {
         "suite": "frontal-condition",
         "frontal": F.name,
@@ -70,8 +71,7 @@ def suite_frontal_condition(F: Frontal, samples: int = 2048) -> dict:
     }
 
 
-def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
-                poles=None) -> dict:
+def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
     """Orthotomic outputs: frontal condition with the induced Gauss map,
     the support identity ||f-f~|| ((f-P).nu) = 2 ((f~-P).nu~)^2, and
     f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3.  F is
@@ -79,7 +79,7 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
     ft, nt = jet[:2]
-    poles = _poles_for(F, grid, n_poles, poles, values=jet)
+    poles = _poles_for(F, grid, poles, values=jet)
     worst_identity = 0.0
     worst_frontal = 0.0
     min_separation = np.inf
@@ -110,8 +110,7 @@ def suite_prop1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     }
 
 
-def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
-               poles=None) -> dict:
+def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
     """Anti-orthotomic identities: induced-normal tangency, the support
     value (f~-P).nu~ = ||f-P||/2, the equidistance ||f~-P|| = ||f~-f||, and
     both round trips with the orthotomic.  F is evaluated once, at order
@@ -119,7 +118,7 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
     fv, nv = jet[:2]
-    poles = _poles_for(F, grid, n_poles, poles, values=jet)
+    poles = _poles_for(F, grid, poles, values=jet)
     worst = {"frontal": 0.0, "support": 0.0, "equidistance": 0.0,
              "roundtrip": 0.0}
     for P in poles:
@@ -144,7 +143,7 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
         for back in (back1, back2):
             worst["roundtrip"] = max(worst["roundtrip"],
                                      float(np.max(row_norm(back - fv))))
-    tols = {"frontal": 1e-6, "support": 1e-8, "equidistance": 1e-9,
+    tols = {"frontal": FRONTAL_TOL, "support": 1e-8, "equidistance": 1e-9,
             "roundtrip": 1e-8}
     return {
         "suite": "thm1",
@@ -156,7 +155,7 @@ def suite_thm1(F: Frontal, samples: int = 1024, n_poles: int = 5,
     }
 
 
-def suite_thm2(G: Frontal, P, samples: int = 1024) -> dict:
+def suite_thm2(G: Frontal, P, samples: int) -> dict:
     """The vector formula f~ - g = ((J nu~)^-1)^t grad(gamma) (+ nothing
     along nu~) against the direct negative-pedal computation, plus the
     singular-gamma corollary in both directions.  Points skipped by
@@ -189,8 +188,7 @@ def suite_thm2(G: Frontal, P, samples: int = 1024) -> dict:
     }
 
 
-def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
-               poles=None) -> dict:
+def suite_thm3(F: Frontal, samples: int, poles=None) -> dict:
     """The opening identity: the weighted sum of Gauss-component gradients
     cancels the gradient of the half-distance, wherever the normal
     coefficient is bounded away from zero (points where |nu2| <=
@@ -198,7 +196,7 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
     on the grid feeds the pole sampler and gamma."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     values = F.eval_wrapped(grid)
-    poles = _poles_for(F, grid, n_poles, poles, values=values)
+    poles = _poles_for(F, grid, poles, values=values)
     worst = 0.0
     tested = 0
     for P in poles:
@@ -220,17 +218,16 @@ def suite_thm3(F: Frontal, samples: int = 512, n_poles: int = 5,
     }
 
 
-def suite_thm4(F: Frontal, samples: int = 256, n_poles: int = 5,
-               poles=None) -> dict:
+def suite_thm4(F: Frontal, samples: int, poles=None) -> dict:
     """Three-way agreement of the front criteria outside the rank-ambiguity
     band."""
     grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, n_poles, poles)
+    poles = _poles_for(F, grid, poles)
     tested = 0
     excluded = 0
     inconsistent = 0
     for P in poles:
-        rep = front_equivalence(F, P, grid, tol=THM4_RANK_TOL)
+        rep = front_equivalence(F, P, grid)
         decided = ~rep.ambiguous
         excluded += int(rep.ambiguous.sum())
         tested += int(decided.sum())
@@ -246,10 +243,13 @@ def suite_thm4(F: Frontal, samples: int = 256, n_poles: int = 5,
     }
 
 
-def suite_square_reconstruction(P=(0.3, -0.2), samples: int = 4096) -> dict:
+def suite_square_reconstruction(P, samples: int) -> dict:
     """The orthotomic of the square frontal: four mirror points, four
     vertex-centered arcs with the predicted radii on the side away from P,
     and the pedal as the 50% shrink toward P."""
+    if samples < SQUARE_MIN_SAMPLES:
+        raise ValueError(f"square-reconstruction needs at least "
+                         f"{SQUARE_MIN_SAMPLES} samples; got {samples}")
     P = np.asarray(P, dtype=float)
     p1, p2 = P
     F = catalog("square")
@@ -323,26 +323,26 @@ ONE_POLE = ("thm2", "square-reconstruction")
 
 
 def run_suite(name: str, F: Frontal | None = None, poles=None,
-              n_poles: int = 5, samples: int | None = None) -> dict:
-    """Dispatch a named suite.  poles: one per row, or None for n_poles
-    sampled NS poles (thm2: one; square-reconstruction: its default)."""
+              samples: int | None = None) -> dict:
+    """Dispatch a named suite.  poles: one per row, or None for N_POLES
+    sampled NS poles (thm2: one; square-reconstruction: SQUARE_POLE).
+    samples: DEFAULT_SAMPLES[name] when None."""
     if name not in DEFAULT_SAMPLES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = samples or DEFAULT_SAMPLES[name]
     if poles is not None:
         poles = np.atleast_2d(np.asarray(poles, dtype=float))
     if name == "square-reconstruction":
-        if poles is None:
-            return suite_square_reconstruction(samples=samples)
-        return suite_square_reconstruction(poles[0], samples=samples)
+        P = SQUARE_POLE if poles is None else poles[0]
+        return suite_square_reconstruction(P, samples=samples)
     if F is None:
         raise ValueError(f"suite {name!r} needs a frontal")
     if name == "frontal-condition":
         return suite_frontal_condition(F, samples=samples)
     if name == "thm2":
         grid = grid_for(F, samples, interior_margin=1e-3)
-        return suite_thm2(F, _poles_for(F, grid, 1, poles)[0],
+        return suite_thm2(F, _poles_for(F, grid, poles, 1)[0],
                           samples=samples)
     # looked up at call time, so a wrapped suite_* is the one that runs
     suite = globals()["suite_" + name]
-    return suite(F, samples=samples, n_poles=n_poles, poles=poles)
+    return suite(F, samples=samples, poles=poles)

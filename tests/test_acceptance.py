@@ -33,7 +33,7 @@ def test_criterion_01_frontal_conditions():
     worst_name = ""
     for name in catalog_names():
         F = catalog(name)
-        rep = check_frontal(F, verify.grid_for(F, 2048), tol=1e-6)
+        rep = check_frontal(F, verify.grid_for(F, 2048))
         if rep.max_residual > worst:
             worst, worst_name = rep.max_residual, name
     elapsed = time.perf_counter() - t0
@@ -47,7 +47,7 @@ def test_criterion_02_thm1_suite():
     worst = {}
     ok = True
     for name in catalog_names():
-        rep = verify.suite_thm1(catalog(name), samples=1024, n_poles=5)
+        rep = verify.suite_thm1(catalog(name), samples=1024)
         ok &= rep["passed"]
         for k, v in rep["max_residuals"].items():
             worst[k] = max(worst.get(k, 0.0), v)
@@ -60,7 +60,7 @@ def test_criterion_03_prop1_suite():
     min_sep = np.inf
     ok = True
     for name in catalog_names():
-        rep = verify.suite_prop1(catalog(name), samples=512, n_poles=5)
+        rep = verify.suite_prop1(catalog(name), samples=512)
         ok &= rep["passed"]
         worst_id = max(worst_id, rep["max_identity_residual"])
         min_sep = min(min_sep, rep["min_separation"])
@@ -104,7 +104,7 @@ def test_criterion_07_opening_identity():
     worst = 0.0
     ok = True
     for name in catalog_names():
-        rep = verify.suite_thm3(catalog(name), samples=256, n_poles=5)
+        rep = verify.suite_thm3(catalog(name), samples=256)
         ok &= rep["passed"]
         worst = max(worst, rep["max_scaled_residual"])
     # the identity holds even where the induced Gauss map is singular
@@ -120,7 +120,7 @@ def test_criterion_08_front_equivalence():
     ok = True
     tested = excluded = 0
     for name in ("cusp", "nonfront", "circle", "square"):
-        rep = verify.suite_thm4(catalog(name), samples=256, n_poles=5)
+        rep = verify.suite_thm4(catalog(name), samples=256)
         ok &= rep["passed"]
         tested += rep["points_tested"]
         excluded += rep["points_excluded"]

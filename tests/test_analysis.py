@@ -39,7 +39,7 @@ def _unit_map(F, P):
 
 
 def _fd(F, fun, x):
-    return _fd_jacobian(fun, F.domain, x, F.fd_step)
+    return _fd_jacobian(fun, F.domain, x)
 
 
 def _fd_grad_norm(F, P, x):
@@ -184,7 +184,7 @@ class TestRankFromOneSVD:
         _, _, Jft, Jnt = anti_orthotomic(F, P).result.eval(grid, 1)
         S = np.stack([np.concatenate(pair, axis=1) for pair in (
             (Jf, Jn), (Jft, Jnt), (Jf, Jft))])
-        want = numeric_rank(S, tol=tol, scale_floor=RANK_SCALE_FLOOR)
+        want = numeric_rank(S, tol=tol)
         rep = front_equivalence(F, P, grid, tol=tol)
         for k, field in enumerate(("rank_f_nu", "rank_ftilde_nutilde",
                                    "rank_f_ftilde")):
@@ -234,8 +234,7 @@ def _per_row_front_reference(F, P, grid, tol=1e-6):
         ambiguous = False
         for top, bot in ((Jf, Jn), (Jft, Jnt), (Jf, Jft)):
             S = np.vstack([top[i], bot[i]])
-            ranks.append(numeric_rank(S, tol=tol,
-                                      scale_floor=RANK_SCALE_FLOOR))
+            ranks.append(numeric_rank(S, tol=tol))
             sv = singular_values(S)
             ref = max(float(sv[0]), RANK_SCALE_FLOOR)
             ambiguous |= bool(np.any((sv > lo * ref) & (sv < hi * ref)))
@@ -336,7 +335,7 @@ class TestFiniteDifferenceOracle:
                 F.eval_f, F.eval_nu, anti.eval_f, anti.eval_nu))
             S = np.stack([np.concatenate(pair, axis=1) for pair in (
                 (Jf, Jn), (Jft, Jnt), (Jf, Jft))])
-            ranks = numeric_rank(S, tol=1e-6, scale_floor=RANK_SCALE_FLOOR)
+            ranks = numeric_rank(S, tol=1e-6)
             sv = singular_values(S)
             ref = np.maximum(sv[..., :1], RANK_SCALE_FLOOR)
             fd_ambiguous = ((sv > lo * ref) & (sv < hi * ref)).any(axis=(0, 2))

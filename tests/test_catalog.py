@@ -180,7 +180,7 @@ class TestSquare:
         F = catalog("square")
         u = np.random.default_rng(8).uniform(1e-3, 1.0 - 1e-3, (8, 16))
         t = (np.arange(8.0)[:, None] + u).reshape(-1, 1)
-        fd = _fd_jacobian(F.nu, F.domain, t, F.fd_step)
+        fd = _fd_jacobian(F.nu, F.domain, t)
         J = F.jac_nu(t)
         np.testing.assert_allclose(J, fd, atol=1e-8)
         assert np.all(J[np.floor(t[:, 0]) % 2 == 1] == 0.0)

@@ -77,6 +77,18 @@ class TestTransform:
                     "--pole", "0,0"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["NaN", "1e400", "-1e400"])
+    @pytest.mark.parametrize("name, key",
+                             [("circle", "R"), ("circle-cubic", "c")])
+    def test_non_finite_catalog_parameter_is_usage_error(
+            self, name, key, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(["transform", "--catalog", name, "--param",
+                    f"{key}={value}", "--kind", "pedal", "--pole", "0.1,0.2",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_pole_exit_code(self, capsys):
         # origin lies on every normal line of the circle: anti-orthotomic
         # works, but the orthotomic Gauss map degenerates for a pole on
@@ -254,6 +266,15 @@ class TestVerify:
         assert run(["verify", "--suite", "square-reconstruction",
                     "--catalog", "square", "--samples", "64"]) == EXIT_OK
 
+    @pytest.mark.parametrize("samples, code",
+                             [("7", EXIT_USAGE), ("8", EXIT_OK)])
+    def test_square_reconstruction_needs_a_sample_per_segment(
+            self, samples, code, capsys):
+        assert run(["verify", "--suite", "square-reconstruction",
+                    "--samples", samples]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") if code == EXIT_USAGE else err == ""
+
     def test_unknown_suite(self, capsys):
         assert run(["verify", "--suite", "thm99",
                     "--catalog", "circle"]) == EXIT_USAGE
@@ -288,16 +309,16 @@ class TestVerify:
 
         assert run(["verify", "--suite", "thm1", "--catalog", "cusp",
                     "--poles", "auto:2", "--samples", "128"]) == EXIT_OK
-        rep = verify.suite_thm1(catalog("cusp"), samples=128, n_poles=2)
-        assert json.loads(capsys.readouterr().out)["poles"] == rep["poles"]
+        auto = json.loads(capsys.readouterr().out)["poles"]
+        # the sampler accepts candidates in order, so the first two of the
+        # suite's N_POLES are the two that auto:2 draws
+        rep = verify.suite_thm1(catalog("cusp"), samples=128)
+        assert auto == rep["poles"][:2]
 
     def test_no_pole_found_is_degeneracy(self, monkeypatch, capsys):
-        import functools
+        from frontalforge import transforms
 
-        from frontalforge import cli, transforms
-
-        monkeypatch.setattr(cli, "sample_poles", functools.partial(
-            transforms.sample_poles, max_tries=1))
+        monkeypatch.setattr(transforms, "POLE_MAX_TRIES", 1)
         code = run(["verify", "--suite", "thm1", "--catalog", "circle",
                     "--poles", "auto:5", "--samples", "64"])
         assert code == EXIT_DEGENERATE

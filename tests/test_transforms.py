@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontalforge import transforms
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
 from frontalforge.errors import (EmptyNSSetError, GaussDegenerateError,
@@ -235,7 +236,7 @@ class TestJetOracle:
         np.testing.assert_array_equal(fv, G.eval_f(x))
         np.testing.assert_array_equal(nv, G.eval_nu(x))
         for J, fun in ((Jf, G.f), (Jn, G.nu)):
-            fd = _fd_jacobian(fun, G.domain, x, F.fd_step)
+            fd = _fd_jacobian(fun, G.domain, x)
             assert J.shape == (64, F.ambient_dim, F.param_dim)
             assert np.max(np.abs(J - fd) / (1.0 + np.abs(J))) <= 1e-6
 
@@ -421,15 +422,16 @@ class TestSamplePoles:
         for P in poles:
             assert ns_membership(F, P, g).member
 
-    def test_too_few_tries_is_typed_error(self):
+    def test_too_few_tries_is_typed_error(self, monkeypatch):
+        monkeypatch.setattr(transforms, "POLE_MAX_TRIES", 1)
         F = catalog("circle")
         with pytest.raises(EmptyNSSetError, match="only [01]/5"):
-            sample_poles(F, _grid(F, 64), 5, max_tries=1)
+            sample_poles(F, _grid(F, 64), 5)
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         F = catalog("cusp")
         g = _grid(F, 128)
-        np.testing.assert_array_equal(sample_poles(F, g, 3),
-                                      sample_poles(F, g, 3))
-        assert not np.array_equal(sample_poles(F, g, 3, seed=1),
-                                  sample_poles(F, g, 3))
+        default = sample_poles(F, g, 3)
+        np.testing.assert_array_equal(sample_poles(F, g, 3), default)
+        monkeypatch.setattr(transforms, "POLE_SAMPLER_SEED", 1)
+        assert not np.array_equal(sample_poles(F, g, 3), default)

@@ -2,6 +2,7 @@
 one evaluation of the source per suite, and pinned report bytes."""
 import dataclasses
 import hashlib
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -96,6 +97,32 @@ def test_report_equals_lazy_oracle(name, suite):
     assert got == LAZY[suite](F, SAMPLES)
 
 
+def test_default_samples_is_the_one_table(monkeypatch):
+    """No suite has a sample count of its own: run_suite, given none, runs
+    each at DEFAULT_SAMPLES[name], and the reports that count their points
+    count that many."""
+    seen = {}
+    for name in verify.SUITES:
+        key = "suite_" + name.replace("-", "_")
+        suite = getattr(verify, key)
+        samples = inspect.signature(suite).parameters["samples"]
+        assert samples.default is inspect.Parameter.empty, key
+
+        def spy(*args, _suite=suite, _name=name, **kw):
+            seen[_name] = kw["samples"]
+            return _suite(*args, **kw)
+        monkeypatch.setattr(verify, key, spy)
+    F = catalog("circle")  # 1-parameter: grid_for(F, n) has n points
+    reps = {name: verify.run_suite(name, F) for name in verify.SUITES}
+    want = verify.DEFAULT_SAMPLES
+    assert seen == want
+    assert reps["frontal-condition"]["samples"] == want["frontal-condition"]
+    for name, poles in (("thm2", 1), ("thm3", verify.N_POLES)):
+        rep = reps[name]
+        counted = rep["points_tested"] + sum(rep["points_skipped"].values())
+        assert counted == poles * want[name], name
+
+
 def _counting(F, calls):
     """F whose evaluators count the rows they are called on, by name."""
     def counted(key, fun):
@@ -170,3 +197,9 @@ def test_suite_report_bytes_pinned(suite, name, tmp_path):
                  "--samples", "4096", "--json", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[suite, name]
+
+
+def test_square_reconstruction_needs_a_sample_per_segment():
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        verify.suite_square_reconstruction(verify.SQUARE_POLE, 7)
+    assert verify.suite_square_reconstruction(verify.SQUARE_POLE, 8)["passed"]
