@@ -102,8 +102,8 @@ def cahn_hoffman(G: Frontal, P, x,
         gauss_direction=nt, singular=singular)
 
 
-def opening_residual(F: Frontal, P, x,
-                     nu2_tol: float = 1e-9) -> np.ndarray:
+def opening_residual(F: Frontal, P, x, nu2_tol: float = 1e-9,
+                     jet: tuple | None = None) -> np.ndarray:
     """Max-norm residual per row of the coefficient identity
 
         gamma sign(nu2) (nu - nu2 nu~)^T J nu~ + |nu2| grad(gamma) = 0,
@@ -121,12 +121,14 @@ def opening_residual(F: Frontal, P, x,
 
     nu is oriented so the normal coefficient is nonnegative (either unit
     normal certifies the frontal condition; the identity is orientation
-    covariant).
+    covariant).  jet, when given, is F's order-1 jet at the wrapped x (see
+    Frontal.eval_wrapped), so a caller looping over poles evaluates F once.
     """
     x = _rows(x, F.param_dim)
     P = np.asarray(P, dtype=float)
     xw = F.domain.wrap(x)
-    jet = F.eval_wrapped(xw, 1)
+    if jet is None:
+        jet = F.eval_wrapped(xw, 1)
     fv, nv = jet[:2]
     u = fv - P
     r = row_norm(u)
@@ -175,8 +177,8 @@ class FrontReport:
     ambiguous: np.ndarray            # (k,) a sigma lies in AMBIGUOUS_BAND
 
 
-def front_equivalence(F: Frontal, P, x,
-                      tol: float = DEFAULT_RANK_TOL) -> FrontReport:
+def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
+                      jet: tuple | None = None) -> FrontReport:
     """Evaluate the three equivalent front criteria at each row of x:
 
       (1) (f, nu) is an immersion,
@@ -187,13 +189,17 @@ def front_equivalence(F: Frontal, P, x,
     decided as in is_front_at from one SVD per row and criterion.  The same
     singular values flag as `ambiguous` the rows where any stacked Jacobian
     has one inside the rank-ambiguity band, where rank decisions are
-    unreliable.  The anti-orthotomic is applied to F's one order-1 jet.
+    unreliable.  The anti-orthotomic is applied to F's one order-1 jet:
+    `jet` at the wrapped x when given (as in opening_residual), else a
+    fresh evaluation.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     x = _rows(x, F.param_dim)
     xw = F.domain.wrap(x)
-    _, _, Jf, Jn = jet = F.eval_wrapped(xw, 1)
+    if jet is None:
+        jet = F.eval_wrapped(xw, 1)
+    _, _, Jf, Jn = jet
     _, _, Jft, Jnt = anti_orthotomic(F, P).apply(xw, *jet)
     S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
     sv = singular_values(S)

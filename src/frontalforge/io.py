@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .frontal import SampledMap
-from .linalg import row_norm
+from .linalg import col_bounds, row_norm
 
 # rows per chunk: a whole table as Python floats would outweigh its text
 _CHUNK_ROWS = 1024
@@ -127,8 +127,7 @@ def svg_table(points: np.ndarray) -> Table:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("curve_to_svg requires (k, 2) points")
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+    lo, hi = col_bounds(points)
     span = hi - lo
     with np.errstate(over="ignore"):
         diag = float(np.linalg.norm(span))

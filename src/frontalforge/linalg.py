@@ -1,5 +1,5 @@
-"""Small dense linear algebra helpers: row norms, singular values and
-tolerance-based rank estimation.
+"""Small dense linear algebra helpers: row norms, column bounds, singular
+values and tolerance-based rank estimation.
 
 Everything here works on plain numpy arrays in low ambient dimension
 (m = n+1, typically 2 or 3); nothing is tuned for large matrices.
@@ -21,6 +21,15 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[1]):
         s += a[:, j] * a[:, j]
     return np.sqrt(s, out=s)
+
+
+def col_bounds(a: np.ndarray) -> tuple:
+    """(lo, hi): the min and max of each column of a (k, m) array.  One 1-D
+    reduction per column gives the values of a.min(axis=0) and
+    a.max(axis=0), NaN included (a zero's sign may differ), in a fraction
+    of the time of their strided reduction when k is large and m small."""
+    return (np.array([c.min() for c in a.T]),
+            np.array([c.max() for c in a.T]))
 
 
 def numeric_rank(M: np.ndarray, tol: float):

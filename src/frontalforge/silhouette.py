@@ -21,6 +21,7 @@ import numpy as np
 from . import _kernels
 from .frontal import Frontal
 from .io import Table, csv_rows, table_text
+from .linalg import col_bounds
 
 DEFAULT_NS_TOL_FRAC = 1e-9
 # `ns_raster`'s error-band factor and rows per (rows, samples) block
@@ -82,7 +83,8 @@ def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
     P = np.asarray(P, dtype=float)
     fv, nv = F.eval_wrapped(grid)
     d = np.einsum("km,km->k", fv - P, nv)
-    scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
+    lo, hi = col_bounds(fv)
+    scale = float(np.linalg.norm(hi - lo))
     tol = _ns_tol(scale, DEFAULT_NS_TOL_FRAC)
     member = bool(d.min() > tol or d.max() < -tol)
     i = int(np.argmin(np.abs(d)))
@@ -130,7 +132,8 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
 
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     fv, nv = F.eval_wrapped(grid)
-    scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
+    lo, hi = col_bounds(fv)
+    scale = float(np.linalg.norm(hi - lo))
     tol = _ns_tol(scale, tol_frac)
 
     # samples ordered nu_x > 0, nu_x < 0, then nu_x = 0 (or NaN)

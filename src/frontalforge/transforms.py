@@ -24,12 +24,13 @@ import numpy as np
 from .errors import (EmptyNSSetError, GaussDegenerateError,
                      PoleOnSilhouetteError)
 from .frontal import Frontal
-from .linalg import row_norm
+from .linalg import col_bounds, row_norm
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
 POLE_MAX_TRIES = 20000  # candidates sample_poles draws before giving up
 POLE_MARGIN_FRAC = 1e-3  # sampled poles' support margin / image scale
+POLE_SCREEN_ROWS = 256  # grid rows that screen each candidate pole
 
 
 class TransformKind(enum.Enum):
@@ -44,7 +45,9 @@ class TransformResult:
     """A transformed frontal `result`.  apply(x, f, nu[, Jf, Jnu]) runs its
     arithmetic on a source jet already evaluated at the wrapped points x
     and returns the bits of result.eval_wrapped(x, order), so a caller
-    holding that jet need not evaluate the source again."""
+    holding that jet need not evaluate the source again.  At order 1,
+    apply(..., gauss_jacobian=False) returns None for Jnu' and skips its
+    arithmetic; the other three outputs keep their bits."""
 
     result: Frontal
     apply: Callable[..., tuple]
@@ -112,7 +115,7 @@ def transform(kind: TransformKind, F: Frontal, P,
     P = np.asarray(P, dtype=float)
 
     if inverse:
-        def apply(x, fv, nv, *J):
+        def apply(x, fv, nv, *J, gauss_jacobian=True):
             u = fv - P
             d = _dot(u, nv)
             r2 = _dot(u, u)
@@ -133,12 +136,13 @@ def transform(kind: TransformKind, F: Frontal, P,
             Jft = (2.0 / lam) * Jf
             Jft -= _outer(nv, grad_c)
             Jft -= c[:, None, None] * Jn
-            return ft, nt, Jft, _unit_jacobian(nt, Jf, r)
+            Jnt = _unit_jacobian(nt, Jf, r) if gauss_jacobian else None
+            return ft, nt, Jft, Jnt
 
         def f(x):
             return jet(x)[0]
     else:
-        def apply(x, fv, nv, *J):
+        def apply(x, fv, nv, *J, gauss_jacobian=True):
             u = fv - P
             d = _dot(u, nv)
             _raise_at_first(np.abs(d) <= degeneracy_tol, x, d,
@@ -153,9 +157,11 @@ def transform(kind: TransformKind, F: Frontal, P,
             grad_d = _grad(Jf, nv) + _grad(Jn, u)
             Jfoot = _outer(nv, grad_d)  # J(d nu)
             Jfoot += d[:, None, None] * Jn
-            Jw = 2.0 * Jfoot
-            Jw -= Jf
-            Jnt = _unit_jacobian(nt, Jw, norm)
+            Jnt = None
+            if gauss_jacobian:
+                Jw = 2.0 * Jfoot
+                Jw -= Jf
+                Jnt = _unit_jacobian(nt, Jw, norm)
             Jfoot *= lam
             return ft, nt, Jfoot, Jnt
 
@@ -195,6 +201,15 @@ def negative_pedal(G: Frontal, P) -> TransformResult:
     return transform(TransformKind.NEGATIVE_PEDAL, G, P)
 
 
+def _screen_stride(rows: int) -> int:
+    """Stride of the about POLE_SCREEN_ROWS rows that screen pole
+    candidates.  The +1 keeps it off a multiple of a grid axis length: at
+    stride 256 the sphere's 256 x 256 grid is screened on one meridian,
+    which passes 180 of its 239 candidates on to the full check (15 at
+    stride 257)."""
+    return rows // POLE_SCREEN_ROWS + 1
+
+
 def sample_poles(F: Frontal, grid: np.ndarray, count: int,
                  values=None) -> np.ndarray:
     """Rejection-sample `count` poles inside the no-silhouette set of F.
@@ -206,28 +221,44 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     mean a silhouette zero lies between samples, so such poles are rejected
     even when the sampled margin is large.  Fewer than `count` poles
     accepted in POLE_MAX_TRIES candidates, drawn from a generator seeded
-    with POLE_SAMPLER_SEED, raise EmptyNSSetError.  values, when
-    given, is (f, nu) of F on the grid, which is then not evaluated again.
+    with POLE_SAMPLER_SEED, raise EmptyNSSetError, as does a box too large
+    to draw from.  values, when given, is (f, nu) of F on the grid, which
+    is then not evaluated again.
+
+    Each candidate is first screened on about POLE_SCREEN_ROWS grid rows
+    (see _screen_stride).  A subset's min is >= the full min and its max
+    <= the full max, so a candidate the screen rejects fails the full check
+    too; the full check runs only on the rest, and every accepted pole is
+    the one the unscreened loop would accept.
     """
     if values is None:
         grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
         values = F.eval_wrapped(grid)
     fv, nv = values[:2]
-    lo = fv.min(axis=0)
-    hi = fv.max(axis=0)
-    diag = float(np.linalg.norm(hi - lo))
-    pad = 0.5 * diag + 0.5  # keep the box non-degenerate for point images
-    lo = lo - pad
-    hi = hi + pad
-    scale = max(diag, 1.0)
+    lo, hi = col_bounds(fv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = float(np.linalg.norm(hi - lo))
+        pad = 0.5 * diag + 0.5  # keep the box non-degenerate for point images
+        lo = lo - pad
+        hi = hi + pad
+        finite = np.isfinite(hi - lo).all()
+    if not finite:
+        raise EmptyNSSetError(
+            f"pole sampler box has no finite width (image bounding-box "
+            f"diagonal {diag!r}): the image is too large or not finite")
+    margin = POLE_MARGIN_FRAC * max(diag, 1.0)
     rng = np.random.default_rng(POLE_SAMPLER_SEED)
     a = np.einsum("km,km->k", fv, nv)
+    stride = _screen_stride(len(a))
+    a_screen, nv_screen = a[::stride].copy(), nv[::stride].copy()
     poles = []
     for _ in range(POLE_MAX_TRIES):
         P = rng.uniform(lo, hi)
+        d = a_screen - nv_screen @ P
+        if d.min() <= margin and d.max() >= -margin:
+            continue
         d = a - nv @ P
-        if float(d.min()) > POLE_MARGIN_FRAC * scale \
-                or float(d.max()) < -POLE_MARGIN_FRAC * scale:
+        if d.min() > margin or d.max() < -margin:
             poles.append(P)
             if len(poles) == count:
                 return np.array(poles)

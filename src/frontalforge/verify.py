@@ -75,7 +75,8 @@ def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
     """Orthotomic outputs: frontal condition with the induced Gauss map,
     the support identity ||f-f~|| ((f-P).nu) = 2 ((f~-P).nu~)^2, and
     f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3.  F is
-    evaluated once, at order 1; each orthotomic is applied to that jet."""
+    evaluated once, at order 1; each orthotomic is applied to that jet,
+    without the Gauss-map Jacobian the checks never read."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
     ft, nt = jet[:2]
@@ -85,7 +86,7 @@ def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
     min_separation = np.inf
     for P in poles:
         ortho = orthotomic(F, P)
-        ojet = ortho.apply(grid, *jet)
+        ojet = ortho.apply(grid, *jet, gauss_jacobian=False)
         worst_frontal = max(worst_frontal, check_frontal(
             ortho.result, grid, jet=ojet).max_residual)
         fv, nv = ojet[:2]
@@ -114,7 +115,8 @@ def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
     """Anti-orthotomic identities: induced-normal tangency, the support
     value (f~-P).nu~ = ||f-P||/2, the equidistance ||f~-P|| = ||f~-f||, and
     both round trips with the orthotomic.  F is evaluated once, at order
-    1; the transforms are applied to that jet and to the values they give."""
+    1; the transforms are applied to that jet (without the Gauss-map
+    Jacobian the checks never read) and to the values they give."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
     fv, nv = jet[:2]
@@ -123,7 +125,7 @@ def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
              "roundtrip": 0.0}
     for P in poles:
         anti = anti_orthotomic(F, P)
-        ajet = anti.apply(grid, *jet)
+        ajet = anti.apply(grid, *jet, gauss_jacobian=False)
         worst["frontal"] = max(worst["frontal"], check_frontal(
             anti.result, grid, jet=ajet).max_residual)
         ftv, ntv = ajet[:2]
@@ -192,17 +194,17 @@ def suite_thm3(F: Frontal, samples: int, poles=None) -> dict:
     """The opening identity: the weighted sum of Gauss-component gradients
     cancels the gradient of the half-distance, wherever the normal
     coefficient is bounded away from zero (points where |nu2| <=
-    THM3_NU2_MIN are skipped and counted).  One order-0 evaluation of F
-    on the grid feeds the pole sampler and gamma."""
+    THM3_NU2_MIN are skipped and counted).  One order-1 evaluation of F
+    on the grid feeds the pole sampler, gamma and every pole's residual."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    values = F.eval_wrapped(grid)
-    poles = _poles_for(F, grid, poles, values=values)
+    jet = F.eval_wrapped(grid, 1)
+    poles = _poles_for(F, grid, poles, values=jet)
     worst = 0.0
     tested = 0
     for P in poles:
-        gamma = row_norm(values[0] - P) / 2.0
-        scaled = opening_residual(F, P, grid, nu2_tol=THM3_NU2_MIN) \
-            / (1.0 + gamma)
+        gamma = row_norm(jet[0] - P) / 2.0
+        scaled = opening_residual(F, P, grid, nu2_tol=THM3_NU2_MIN,
+                                  jet=jet) / (1.0 + gamma)
         scaled = scaled[~np.isnan(scaled)]
         tested += scaled.size
         worst = max(worst, float(np.max(scaled, initial=0.0)))
@@ -220,14 +222,16 @@ def suite_thm3(F: Frontal, samples: int, poles=None) -> dict:
 
 def suite_thm4(F: Frontal, samples: int, poles=None) -> dict:
     """Three-way agreement of the front criteria outside the rank-ambiguity
-    band."""
-    grid = grid_for(F, samples, interior_margin=1e-3)
-    poles = _poles_for(F, grid, poles)
+    band.  One order-1 evaluation of F on the grid feeds the pole sampler
+    and every pole's criteria."""
+    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
+    jet = F.eval_wrapped(grid, 1)
+    poles = _poles_for(F, grid, poles, values=jet)
     tested = 0
     excluded = 0
     inconsistent = 0
     for P in poles:
-        rep = front_equivalence(F, P, grid)
+        rep = front_equivalence(F, P, grid, jet=jet)
         decided = ~rep.ambiguous
         excluded += int(rep.ambiguous.sum())
         tested += int(decided.sum())

@@ -326,6 +326,14 @@ class TestVerify:
         assert err.startswith("error: numerical degeneracy [EmptyNSSetError]")
         assert "Traceback" not in err
 
+    def test_overflowing_image_box_is_degeneracy(self, capsys):
+        code = run(["verify", "--suite", "thm1", "--catalog", "circle",
+                    "--param", "R=1e308", "--samples", "64"])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical degeneracy [EmptyNSSetError]")
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_non_finite_pole_in_list_is_usage_error(self, capsys):
         code = run(["verify", "--suite", "thm1", "--catalog", "circle",
                     "--poles", "0.1,0.2;inf,0", "--samples", "32"])

@@ -18,6 +18,7 @@ from frontalforge.silhouette import ns_membership
 from frontalforge.transforms import (TransformKind, anti_orthotomic,
                                      negative_pedal, orthotomic, pedal,
                                      sample_poles, transform)
+from frontalforge.verify import N_POLES, grid_for
 
 
 def _grid(F, n=256):
@@ -296,6 +297,21 @@ class TestApply:
         for a, b in zip(held, lazy):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_without_gauss_jacobian(self, name, kind):
+        """gauss_jacobian=False gives None for Jnu' and the bits of the
+        full apply for the other three outputs."""
+        F = catalog(name)
+        x = F.domain.wrap(_grid(F, 256))
+        T = transform(kind, F, sample_poles(F, x, 1)[0])
+        jet = F.eval_wrapped(x, 1)
+        full = T.apply(x, *jet)
+        short = T.apply(x, *jet, gauss_jacobian=False)
+        assert len(short) == 4 and short[3] is None
+        for a, b in zip(short[:3], full[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_survives_dataclass_replace(self):
         F = catalog("circle")
         T = orthotomic(F, [0.1, 0.2])
@@ -435,3 +451,104 @@ class TestSamplePoles:
         np.testing.assert_array_equal(sample_poles(F, g, 3), default)
         monkeypatch.setattr(transforms, "POLE_SAMPLER_SEED", 1)
         assert not np.array_equal(sample_poles(F, g, 3), default)
+
+    def test_box_too_large_is_typed_error(self):
+        """A finite image whose bounding box overflows raises the typed
+        error, not an OverflowError from the random generator."""
+        F = catalog("circle", {"R": 1e308})
+        with pytest.raises(EmptyNSSetError, match="no finite width"):
+            sample_poles(F, _grid(F, 64), 5)
+
+
+def _sample_poles_unscreened(F, grid, count, values, accept_rows=None):
+    """sample_poles before candidates were screened on a subsample: every
+    candidate gets the full-grid check.  accept_rows, when given, is a
+    stride at which the mutant accepts on that subsample alone."""
+    fv, nv = values[:2]
+    lo = fv.min(axis=0)
+    hi = fv.max(axis=0)
+    diag = float(np.linalg.norm(hi - lo))
+    pad = 0.5 * diag + 0.5
+    lo = lo - pad
+    hi = hi + pad
+    scale = max(diag, 1.0)
+    rng = np.random.default_rng(transforms.POLE_SAMPLER_SEED)
+    a = np.einsum("km,km->k", fv, nv)
+    if accept_rows is not None:
+        a, nv = a[::accept_rows], nv[::accept_rows]
+    poles = []
+    for _ in range(transforms.POLE_MAX_TRIES):
+        P = rng.uniform(lo, hi)
+        d = a - nv @ P
+        if float(d.min()) > transforms.POLE_MARGIN_FRAC * scale \
+                or float(d.max()) < -transforms.POLE_MARGIN_FRAC * scale:
+            poles.append(P)
+            if len(poles) == count:
+                return np.array(poles)
+    raise EmptyNSSetError(
+        f"pole sampler found only {len(poles)}/{count} valid poles "
+        f"in {transforms.POLE_MAX_TRIES} tries")
+
+
+_SAMPLER_SEEDS = (transforms.POLE_SAMPLER_SEED, 1, 2)
+
+
+def _suite_jet(name, samples):
+    """A catalog frontal and its (f, nu) on an identity suite's grid."""
+    F = catalog(name)
+    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
+    return F, grid, F.eval_wrapped(grid)
+
+
+class TestPoleScreen:
+    """sample_poles screens candidates on a subsample of rows; the poles it
+    accepts are those of the unscreened loop."""
+
+    @pytest.mark.parametrize("samples", [1024, 65536])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_matches_unscreened_sampler(self, name, samples, monkeypatch):
+        F, grid, values = _suite_jet(name, samples)
+        for seed in _SAMPLER_SEEDS:
+            monkeypatch.setattr(transforms, "POLE_SAMPLER_SEED", seed)
+            want = _sample_poles_unscreened(F, grid, N_POLES, values)
+            got = sample_poles(F, grid, N_POLES, values=values)
+            assert got.tobytes() == want.tobytes(), (name, samples, seed)
+
+    def test_mutant_accepting_on_screen_alone_differs(self, monkeypatch):
+        """Accepting on the screening rows alone moves poles in the cases
+        above, so the equivalence test catches such a mutant."""
+        moved = []
+        for name in catalog_names():
+            F, grid, values = _suite_jet(name, 1024)
+            for seed in _SAMPLER_SEEDS:
+                monkeypatch.setattr(transforms, "POLE_SAMPLER_SEED", seed)
+                stride = transforms._screen_stride(len(grid))
+                mutant = _sample_poles_unscreened(F, grid, N_POLES, values,
+                                                  accept_rows=stride)
+                got = sample_poles(F, grid, N_POLES, values=values)
+                if mutant.tobytes() != got.tobytes():
+                    moved.append((name, seed))
+        assert moved
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_screen_support_values_are_full_ones(self, name):
+        """d on the copied screening rows has the bits of the full d at
+        those rows, so a screen rejection is a full-grid rejection."""
+        F, grid, (fv, nv) = _suite_jet(name, 65536)
+        stride = transforms._screen_stride(len(grid))
+        a = np.einsum("km,km->k", fv, nv)
+        a_screen, nv_screen = a[::stride].copy(), nv[::stride].copy()
+        rng = np.random.default_rng(5)
+        for P in rng.uniform(-2.0, 2.0, (16, F.ambient_dim)):
+            full = a - nv @ P
+            assert (a_screen - nv_screen @ P).tobytes() \
+                == full[::stride].tobytes()
+
+    def test_screen_rows_do_not_alias_the_grid(self):
+        """On the sphere's 256 x 256 grid the screening rows spread over
+        both parameter axes, not one meridian."""
+        _, grid, _ = _suite_jet("sphere", 65536)
+        rows = grid[::transforms._screen_stride(len(grid))]
+        assert len(rows) <= transforms.POLE_SCREEN_ROWS
+        for axis in range(grid.shape[1]):
+            assert len(np.unique(rows[:, axis])) > 1

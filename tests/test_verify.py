@@ -1,5 +1,6 @@
-"""The thm1 and prop1 suites: reports equal to the lazy path they replaced,
-one evaluation of the source per suite, and pinned report bytes."""
+"""The identity suites: thm1 and prop1 reports equal to the lazy path they
+replaced, one evaluation of the source per suite (thm3 and thm4 too), and
+pinned report bytes."""
 import dataclasses
 import hashlib
 import inspect
@@ -137,11 +138,12 @@ def _counting(F, calls):
 
 
 @pytest.mark.parametrize("poles", [None, "sampled"])
-@pytest.mark.parametrize("suite", list(LAZY))
+@pytest.mark.parametrize("suite", [*LAZY, "thm3", "thm4"])
 @pytest.mark.parametrize("name", catalog_names())
 def test_one_order_one_evaluation_per_suite(name, suite, poles):
     """Each evaluator of F runs on the grid once, whatever the pole count:
-    the sampler, every transform and both round trips read that one jet."""
+    the sampler, every transform and analysis call, and thm1's round trips
+    read that one jet."""
     calls = Counter()
     F = _counting(catalog(name), calls)
     grid = verify.grid_for(F, SAMPLES, interior_margin=1e-3)
