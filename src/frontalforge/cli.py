@@ -3,7 +3,8 @@
 Subcommands: catalog, transform, verify, ns, cahn-hoffman, front-check.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 numerical degeneracy (pole on the silhouette, degenerate Gauss map of a
-forward transform, no pole found in the no-silhouette set).
+forward transform, no pole found in the no-silhouette set, a non-finite
+sampled value, no point for prop1's separation check).
 
 Identical invocations produce byte-identical output files.
 """
@@ -24,7 +25,8 @@ from .analysis import (DEFAULT_JNU_TOL, DEFAULT_RANK_TOL, cahn_hoffman,
 from .catalog import catalog, catalog_names
 from .errors import (CatalogParameterError, EmptyNSSetError,
                      FrontalForgeError, GaussDegenerateError,
-                     PoleOnSilhouetteError, UnknownCatalogError)
+                     NonFiniteSampleError, PoleOnSilhouetteError,
+                     SupportDegenerateError, UnknownCatalogError)
 from .frontal import SampledMap, sample
 # curve_to_svg and sampled_map_to_csv stay bound for perfbench/tracer.py
 from .io import (csv_table, curve_to_svg, sampled_map_to_csv, svg_table,
@@ -39,7 +41,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-_DEGENERATE = (EmptyNSSetError, GaussDegenerateError, PoleOnSilhouetteError)
+_DEGENERATE = (EmptyNSSetError, GaussDegenerateError, NonFiniteSampleError,
+               PoleOnSilhouetteError, SupportDegenerateError)
 
 
 class UsageError(Exception):
@@ -136,14 +139,13 @@ def cmd_transform(args) -> int:
                          "different files")
     T = transform(kind, F, P, args.tol_degeneracy)
     grid = verify.grid_for(F, args.samples)
-    # F is evaluated once; the image is the transform applied to that jet
-    need_source = args.source_out or not args.no_gauss
-    source = sample(F, grid) if need_source else None
-    x = source.params if source else F.domain.wrap(grid)
+    # F is evaluated once; the image is the transform applied to it
+    source = sample(F, grid)
+    x, fv, nv = source.params, source.values, source.gauss
     if args.no_gauss:  # the forward kinds' image exists where d = 0
-        image = SampledMap(x, np.asarray(T.result.f(x), dtype=float))
+        image = SampledMap(x, T.image(x, fv, nv))
     else:
-        image = SampledMap(x, *T.apply(x, source.values, source.gauss))
+        image = SampledMap(x, *T.apply(x, fv, nv))
     tables = []
     if args.out:
         tables.append((args.out, csv_table(image)))

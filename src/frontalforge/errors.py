@@ -35,6 +35,17 @@ class EmptyNSSetError(FrontalForgeError, RuntimeError):
     """The pole sampler found fewer no-silhouette poles than requested."""
 
 
+class NonFiniteSampleError(FrontalForgeError, ValueError):
+    """A sampled map holds a value that is not finite, as where an image
+    overflows (the orthotomic of a circle of radius 1e308 has radius
+    2e308 = inf)."""
+
+
+class SupportDegenerateError(FrontalForgeError):
+    """No grid point has a support value |(f-P).nu| above the margin that
+    prop1's separation check needs, so f != f~ has no point to test."""
+
+
 class PoleOnSilhouetteError(FrontalForgeError):
     """The pole P fails the no-silhouette condition (f(x)-P).nu(x) != 0 at a
     requested point; the inverse-transform formulas divide by that quantity."""

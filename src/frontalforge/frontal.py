@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteSampleError
 from .linalg import row_norm
 
 FD_STEP = 1e-5       # central-difference step of frontals without a jac
@@ -176,7 +176,7 @@ class SampledMap:
             raise ValueError("gauss shape mismatch")
         for a in (self.params, self.values, self.gauss):
             if a is not None and not np.all(np.isfinite(a)):
-                raise ValueError("non-finite entries in sampled map")
+                raise NonFiniteSampleError("non-finite entries in sampled map")
 
 
 def sample(F: Frontal, x: np.ndarray) -> SampledMap:
@@ -250,6 +250,12 @@ def jacobian_nu(F: Frontal, x: np.ndarray) -> np.ndarray:
     return F._jacobian(F.domain.wrap(x), 1)
 
 
+def tangency_residuals(J: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """|J[k, :, j] . nu[k]| for each row k and Jacobian column j: (k, n).
+    Row by row, so a block of rows gives the bits of the whole."""
+    return np.abs(np.einsum("kmj,km->kj", J, nu))
+
+
 @dataclass(frozen=True)
 class FrontalCheck:
     """Result of verifying the tangency condition df . nu = 0 on a grid."""
@@ -280,8 +286,7 @@ def check_frontal(F: Frontal, grid: np.ndarray,
                F._jacobian(grid, 0), None)
     _, nu, J, _ = jet or F.eval_wrapped(grid, 1)
     unit_defect = float(np.max(np.abs(row_norm(nu) - 1.0)))
-    # residuals[k, j] = | J[k,:,j] . nu[k] |
-    res = np.abs(np.einsum("kmj,km->kj", J, nu))
+    res = tangency_residuals(J, nu)
     flat = int(np.argmax(res))
     worst = grid[flat // res.shape[1]]
     return FrontalCheck(max_residual=float(res.max()), worst_x=worst,

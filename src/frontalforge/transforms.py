@@ -47,10 +47,13 @@ class TransformResult:
     and returns the bits of result.eval_wrapped(x, order), so a caller
     holding that jet need not evaluate the source again.  At order 1,
     apply(..., gauss_jacobian=False) returns None for Jnu' and skips its
-    arithmetic; the other three outputs keep their bits."""
+    arithmetic; the other three outputs keep their bits.  image(x, f, nu)
+    is result.f on held source values: the image alone, which a forward
+    kind has even where its Gauss map degenerates."""
 
     result: Frontal
     apply: Callable[..., tuple]
+    image: Callable[..., np.ndarray]
 
 
 # kind -> (lambda, inverse?)
@@ -139,9 +142,12 @@ def transform(kind: TransformKind, F: Frontal, P,
             Jnt = _unit_jacobian(nt, Jf, r) if gauss_jacobian else None
             return ft, nt, Jft, Jnt
 
-        def f(x):
-            return jet(x)[0]
+        def image(x, fv, nv):
+            return apply(x, fv, nv)[0]
     else:
+        def foot(d, nv):  # lambda times the foot of P on each tangent plane
+            return lam * d[:, None] * nv + P
+
         def apply(x, fv, nv, *J, gauss_jacobian=True):
             u = fv - P
             d = _dot(u, nv)
@@ -150,7 +156,7 @@ def transform(kind: TransformKind, F: Frontal, P,
             nt = 2.0 * d[:, None] * nv + P - fv  # orthotomic minus source
             norm = row_norm(nt)
             nt /= norm[:, None]
-            ft = lam * d[:, None] * nv + P
+            ft = foot(d, nv)
             if not J:
                 return ft, nt
             Jf, Jn = J
@@ -165,10 +171,12 @@ def transform(kind: TransformKind, F: Frontal, P,
             Jfoot *= lam
             return ft, nt, Jfoot, Jnt
 
-        def f(x):
+        def image(x, fv, nv):
             # the image exists where the Gauss map degenerates (d = 0)
-            fv, nv = F.eval_wrapped(x)
-            return lam * _dot(fv - P, nv)[:, None] * nv + P
+            return foot(_dot(fv - P, nv), nv)
+
+    def f(x):
+        return image(x, *F.eval_wrapped(x))
 
     def jet(x, order=0):
         return apply(x, *F.eval_wrapped(x, order))
@@ -178,7 +186,7 @@ def transform(kind: TransformKind, F: Frontal, P,
 
     out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
                   jet=jet, name=f"{kind.value}({F.name or 'frontal'})")
-    return TransformResult(result=out, apply=apply)
+    return TransformResult(result=out, apply=apply, image=image)
 
 
 def orthotomic(F: Frontal, P) -> TransformResult:

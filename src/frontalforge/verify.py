@@ -6,11 +6,15 @@ subcommand and the acceptance tests both run these.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .analysis import cahn_hoffman, front_equivalence, opening_residual
 from .catalog import catalog
-from .frontal import FRONTAL_TOL, Frontal, ParamDomain, check_frontal
+from .errors import SupportDegenerateError
+from .frontal import (FRONTAL_TOL, Frontal, ParamDomain, check_frontal,
+                      tangency_residuals)
 from .linalg import row_norm
 from .transforms import anti_orthotomic, orthotomic, pedal, sample_poles
 
@@ -37,6 +41,7 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
 
 N_POLES = 5             # sampled poles of prop1, thm1, thm3 and thm4
 PROP1_TOL = 1e-8        # prop1 support identity
+PROP1_MARGIN = 1e-3     # prop1 tests f != f~ where |(f-P).nu| > PROP1_MARGIN
 THM2_TOL = 1e-5         # thm2 residual / (1 + |direct offset|)
 THM2_DET_MIN = 1e-3     # thm2 skips |det J nu~| <= THM2_DET_MIN ...
 THM2_COND_MAX = 1e3     # ... and ||(J nu~)^-1|| > THM2_COND_MAX
@@ -55,6 +60,58 @@ def _poles_for(F: Frontal, grid: np.ndarray, poles, count: int = N_POLES,
     return np.atleast_2d(np.asarray(poles, dtype=float))
 
 
+# Fewest rows a thread of a split suite takes.  Below about this many,
+# handing the GIL between threads costs more than a second core saves.
+MIN_BLOCK_ROWS = 8192
+_helpers = None  # the thread pool of blocks 1, 2, ...; made at first split
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _row_blocks(k: int) -> list:
+    """Contiguous slices of range(k) in order: one per usable core, each
+    of at least MIN_BLOCK_ROWS rows, or one for all when k is smaller."""
+    n = max(1, min(_usable_cores(), k // MIN_BLOCK_ROWS))
+    edges = [k * i // n for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _in_blocks(fn, arrays, *args) -> list:
+    """fn(*(a[rows] for a in arrays), *args) for each of _row_blocks(k), in
+    block order (k: the arrays' row count).  This thread runs block 0 and
+    helper threads the others; numpy drops the GIL in its loops, so the
+    blocks run side by side.  fn must work row by row, so that a block's
+    values are the whole's, and call nothing perfbench/tracer.py patches
+    (transform builders, ParamDomain.wrap, catalog evaluators), whose span
+    stack is not per thread.  If a block raises, fn runs once more on all
+    rows here, so the error is the one-block one, first row included."""
+    blocks = _row_blocks(len(arrays[0]))
+
+    def run(rows):
+        return fn(*(a[rows] for a in arrays), *args)
+
+    if len(blocks) == 1:
+        return [run(blocks[0])]
+    global _helpers
+    if _helpers is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _helpers = ThreadPoolExecutor(_usable_cores() - 1)
+    futures = [_helpers.submit(run, rows) for rows in blocks[1:]]
+    try:
+        parts = [run(blocks[0])]
+    except Exception:
+        parts = None
+    # every block ends before anything else runs
+    if parts is None or any(f.exception() is not None for f in futures):
+        return [run(slice(None))]
+    return parts + [f.result() for f in futures]
+
+
 def suite_frontal_condition(F: Frontal, samples: int) -> dict:
     """The tangency condition df . nu = 0 on a sample grid."""
     grid = grid_for(F, samples)
@@ -71,33 +128,49 @@ def suite_frontal_condition(F: Frontal, samples: int) -> dict:
     }
 
 
+def _prop1_rows(x, ft, nt, Jf, Jn, P, ortho):
+    """prop1's per-row checks of one pole on rows x, F's jet there and
+    ortho, its orthotomic's apply: the maxima of the frontal and identity
+    residuals, and the least separation ||f~-f|| where |(f-P).nu| >
+    PROP1_MARGIN, with whether any row has that margin."""
+    fv, nv, Jfv, _ = ortho(x, ft, nt, Jf, Jn, gauss_jacobian=False)
+    frontal = tangency_residuals(Jfv, nv).max()
+    del Jfv  # it serves the frontal check alone
+    d_tilde = np.einsum("km,km->k", ft - P, nt)
+    sep = row_norm(fv - ft)
+    lhs = sep * np.einsum("km,km->k", fv - P, nv)
+    identity = np.max(np.abs(lhs - 2.0 * d_tilde**2))
+    kept = np.abs(d_tilde) > PROP1_MARGIN
+    return frontal, identity, np.min(sep[kept], initial=np.inf), kept.any()
+
+
 def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
     """Orthotomic outputs: frontal condition with the induced Gauss map,
     the support identity ||f-f~|| ((f-P).nu) = 2 ((f~-P).nu~)^2, and
-    f(x) != f~(x) wherever the hypothesis margin exceeds 1e-3.  F is
+    f(x) != f~(x) wherever the hypothesis margin exceeds PROP1_MARGIN (a
+    pole with no such point raises SupportDegenerateError).  F is
     evaluated once, at order 1; each orthotomic is applied to that jet,
-    without the Gauss-map Jacobian the checks never read."""
+    without the Gauss-map Jacobian the checks never read, on row blocks
+    in parallel (see _in_blocks)."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
-    ft, nt = jet[:2]
     poles = _poles_for(F, grid, poles, values=jet)
     worst_identity = 0.0
     worst_frontal = 0.0
     min_separation = np.inf
     for P in poles:
-        ortho = orthotomic(F, P)
-        ojet = ortho.apply(grid, *jet, gauss_jacobian=False)
-        worst_frontal = max(worst_frontal, check_frontal(
-            ortho.result, grid, jet=ojet).max_residual)
-        fv, nv = ojet[:2]
-        del ojet  # its Jacobians serve the frontal check alone
-        d_tilde = np.einsum("km,km->k", ft - P, nt)
-        sep = row_norm(fv - ft)
-        lhs = sep * np.einsum("km,km->k", fv - P, nv)
-        worst_identity = max(worst_identity,
-                             float(np.max(np.abs(lhs - 2.0 * d_tilde**2))))
-        min_separation = min(min_separation,
-                             float(np.min(sep[np.abs(d_tilde) > 1e-3])))
+        parts = _in_blocks(_prop1_rows, (grid, *jet), P,
+                           orthotomic(F, P).apply)
+        # np.max/np.min over the blocks give the whole grid's value, NaN
+        # included, which Python's max and min would not
+        frontal, identity, separation, kept = zip(*parts)
+        worst_frontal = max(worst_frontal, float(np.max(frontal)))
+        worst_identity = max(worst_identity, float(np.max(identity)))
+        if not any(kept):
+            raise SupportDegenerateError(
+                f"pole {P.tolist()}: no grid point has |(f-P).nu| > "
+                f"{PROP1_MARGIN}, where prop1 tests f != f~")
+        min_separation = min(min_separation, float(np.min(separation)))
     return {
         "suite": "prop1",
         "frontal": F.name,
@@ -106,9 +179,33 @@ def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
         "max_frontal_residual": worst_frontal,
         "min_separation": min_separation,
         "tol": PROP1_TOL,
-        "passed": (worst_identity <= PROP1_TOL and min_separation > 1e-3
+        "passed": (worst_identity <= PROP1_TOL
+                   and min_separation > PROP1_MARGIN
                    and worst_frontal <= FRONTAL_TOL),
     }
+
+
+# what each value of _thm1_rows bounds, in order
+_THM1_KEYS = ("frontal", "support", "equidistance", "roundtrip", "roundtrip")
+
+
+def _thm1_rows(x, fv, nv, Jf, Jn, P, anti, back1, ortho, back2):
+    """thm1's per-row checks of one pole on rows x and F's jet there, with
+    the applies of the anti-orthotomic, the orthotomic of its result
+    (back1), the orthotomic and the anti-orthotomic of its result (back2):
+    the maxima of the _THM1_KEYS residuals, one per round trip."""
+    ftv, ntv, Jft, _ = anti(x, fv, nv, Jf, Jn, gauss_jacobian=False)
+    frontal = tangency_residuals(Jft, ntv).max()
+    del Jft  # it serves the frontal check alone
+    r = row_norm(fv - P)
+    supp = np.einsum("km,km->k", ftv - P, ntv)
+    support = np.max(np.abs(supp - r / 2.0))
+    equidistance = np.max(np.abs(row_norm(ftv - P) - row_norm(ftv - fv)))
+    # orthotomic of the anti-orthotomic restores F ...
+    trip1 = np.max(row_norm(back1(x, ftv, ntv)[0] - fv))
+    # ... and anti-orthotomic of the orthotomic restores F
+    trip2 = np.max(row_norm(back2(x, *ortho(x, fv, nv))[0] - fv))
+    return frontal, support, equidistance, trip1, trip2
 
 
 def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
@@ -116,35 +213,22 @@ def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
     value (f~-P).nu~ = ||f-P||/2, the equidistance ||f~-P|| = ||f~-f||, and
     both round trips with the orthotomic.  F is evaluated once, at order
     1; the transforms are applied to that jet (without the Gauss-map
-    Jacobian the checks never read) and to the values they give."""
+    Jacobian the checks never read) and to the values they give, on row
+    blocks in parallel (see _in_blocks)."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
-    fv, nv = jet[:2]
     poles = _poles_for(F, grid, poles, values=jet)
     worst = {"frontal": 0.0, "support": 0.0, "equidistance": 0.0,
              "roundtrip": 0.0}
     for P in poles:
         anti = anti_orthotomic(F, P)
-        ajet = anti.apply(grid, *jet, gauss_jacobian=False)
-        worst["frontal"] = max(worst["frontal"], check_frontal(
-            anti.result, grid, jet=ajet).max_residual)
-        ftv, ntv = ajet[:2]
-        del ajet  # its Jacobians serve the frontal check alone
-        r = row_norm(fv - P)
-        supp = np.einsum("km,km->k", ftv - P, ntv)
-        worst["support"] = max(worst["support"],
-                               float(np.max(np.abs(supp - r / 2.0))))
-        eq = np.abs(row_norm(ftv - P) - row_norm(ftv - fv))
-        worst["equidistance"] = max(worst["equidistance"], float(np.max(eq)))
-        # orthotomic of the anti-orthotomic restores F ...
-        back1 = orthotomic(anti.result, P).apply(grid, ftv, ntv)[0]
-        # ... and anti-orthotomic of the orthotomic restores F
         ortho = orthotomic(F, P)
-        back2 = anti_orthotomic(ortho.result, P).apply(
-            grid, *ortho.apply(grid, fv, nv))[0]
-        for back in (back1, back2):
-            worst["roundtrip"] = max(worst["roundtrip"],
-                                     float(np.max(row_norm(back - fv))))
+        parts = _in_blocks(_thm1_rows, (grid, *jet), P, anti.apply,
+                           orthotomic(anti.result, P).apply, ortho.apply,
+                           anti_orthotomic(ortho.result, P).apply)
+        # np.max over the blocks gives the whole grid's value, NaN included
+        for key, values in zip(_THM1_KEYS, zip(*parts)):
+            worst[key] = max(worst[key], float(np.max(values)))
     tols = {"frontal": FRONTAL_TOL, "support": 1e-8, "equidistance": 1e-9,
             "roundtrip": 1e-8}
     return {

@@ -16,6 +16,17 @@ def run(argv):
     return main(argv)
 
 
+def _counting(F, rows):
+    """F whose f and nu count the rows they are called on, by name."""
+    def counted(key, fun):
+        def call(x):
+            rows[key] += x.shape[0]
+            return fun(x)
+        return call
+
+    return dataclasses.replace(F, f=counted("f", F.f), nu=counted("nu", F.nu))
+
+
 # One command per --tol-* option, the option last.
 _TOL_COMMANDS = [
     ["transform", "--catalog", "circle", "--kind", "pedal", "--pole", "0,0",
@@ -207,16 +218,8 @@ class TestTransform:
         on each grid row once."""
         rows = Counter()
 
-        def counted(key, fun):
-            def call(x):
-                rows[key] += x.shape[0]
-                return fun(x)
-            return call
-
         def counting_catalog(name, params=None):
-            F = catalog(name, params)
-            return dataclasses.replace(F, f=counted("f", F.f),
-                                       nu=counted("nu", F.nu))
+            return _counting(catalog(name, params), rows)
 
         monkeypatch.setattr(cli, "catalog", counting_catalog)
         code = run(["transform", "--catalog", "circle", "--kind", kind,
@@ -226,6 +229,72 @@ class TestTransform:
                     "--source-out", str(tmp_path / "s.csv")])
         assert code == EXIT_OK
         assert rows == {"f": 100, "nu": 100}
+
+    # sha256 of `--no-gauss --out` at 256 samples, recorded when the image
+    # came from a second evaluation of the source
+    _NO_GAUSS_SHA256 = {
+        ("cusp", "orthotomic"):
+            "3a96312ab43297e1913f5e1120b830a42d249dccc5cc57b15366548088f9acc4",
+        ("cusp", "pedal"):
+            "198907b5536486bb37fc26423afd2ef9e2ebe23dfe36ab933f582494e7510d98",
+        ("cusp", "anti-orthotomic"):
+            "4f2d21dfe8395fc7086da4acd95c73e6f26c91082a356e41d1b711643b8a64f1",
+        ("cusp", "negative-pedal"):
+            "c2bb4e592859c0a4c43778802ae6f44a016ccbc4f58be8a90f11f644d0566568",
+        ("sphere", "orthotomic"):
+            "bb749e0bc9a2c7afc51ab61e4087ffd0385cf2920f0db9f2055c2cb8f3248d71",
+        ("sphere", "pedal"):
+            "5262d51d0881b6f9758a73b3158cf3d9fa69d2e475ac3f0b789f7451a7e63a63",
+        ("sphere", "anti-orthotomic"):
+            "0baeca0b5a2f4e76cdc74124c00a0ccd77ec33c6f45d51ad348c58948816521e",
+        ("sphere", "negative-pedal"):
+            "106692b03f5b4181ffb138efdb7d692eea17490ebcee52197379adbaf3ef87d6",
+    }
+
+    @pytest.mark.parametrize("name,kind", list(_NO_GAUSS_SHA256), ids=str)
+    def test_no_gauss_image_bytes_pinned(self, name, kind, tmp_path):
+        pole = {"cusp": "0.1,1.5", "sphere": "0,0,0.3"}[name]
+        out = tmp_path / "a.csv"
+        assert run(["transform", "--catalog", name, "--kind", kind,
+                    f"--pole={pole}", "--samples", "256", "--no-gauss",
+                    "--out", str(out), "--source-out",
+                    str(tmp_path / "s.csv")]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self._NO_GAUSS_SHA256[name, kind]
+
+    @pytest.mark.parametrize("kind", ["orthotomic", "pedal",
+                                      "anti-orthotomic", "negative-pedal"])
+    def test_no_gauss_source_evaluated_once(self, kind, tmp_path,
+                                            monkeypatch):
+        """--no-gauss --source-out takes the image from the source values
+        it writes: f and nu run on each grid row once, not twice."""
+        rows = Counter()
+
+        def counting_catalog(name, params=None):
+            return _counting(catalog(name, params), rows)
+
+        monkeypatch.setattr(cli, "catalog", counting_catalog)
+        code = run(["transform", "--catalog", "circle", "--kind", kind,
+                    "--pole", "0.3,-0.2", "--samples", "100", "--no-gauss",
+                    "--out", str(tmp_path / "a.csv"),
+                    "--source-out", str(tmp_path / "s.csv")])
+        assert code == EXIT_OK
+        assert rows == {"f": 100, "nu": 100}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_non_finite_image_is_degeneracy(self, tmp_path, capsys):
+        """The orthotomic of a circle of radius 1e308 has radius 2e308,
+        which is inf: a typed error, exit 3, and no file."""
+        out = tmp_path / "a.csv"
+        code = run(["transform", "--catalog", "circle", "--param", "R=1e308",
+                    "--kind", "orthotomic", "--pole", "0,0", "--samples",
+                    "16", "--out", str(out)])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert "error: numerical degeneracy [NonFiniteSampleError]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["transform", "--catalog", "cusp", "--kind", "orthotomic",
@@ -333,6 +402,17 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical degeneracy [EmptyNSSetError]")
         assert "Traceback" not in err and "Warning" not in err
+
+    def test_prop1_without_separated_point_is_degeneracy(self, capsys):
+        """The constant frontal's support value is the pole's first
+        coordinate, 1e-4 at every point, below prop1's 1e-3 margin."""
+        code = run(["verify", "--suite", "prop1", "--catalog", "constant",
+                    "--pole=0.0001,0", "--samples", "64"])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: numerical degeneracy [SupportDegenerateError]")
+        assert "Traceback" not in err
 
     def test_non_finite_pole_in_list_is_usage_error(self, capsys):
         code = run(["verify", "--suite", "thm1", "--catalog", "circle",

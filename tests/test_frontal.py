@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from frontalforge.catalog import catalog, catalog_names
-from frontalforge.errors import DomainError
+from frontalforge.errors import (DomainError, FrontalForgeError,
+                                NonFiniteSampleError)
 from frontalforge.frontal import (Frontal, ParamDomain, check_frontal,
                                   interval, jacobian_f, jacobian_nu, sample)
 
@@ -187,3 +188,6 @@ class TestSample:
         G = Frontal(domain=F.domain, f=bad, nu=F.nu, ambient_dim=2)
         with pytest.raises(ValueError):
             sample(G, F.domain.grid([4]))
+        with pytest.raises(NonFiniteSampleError):
+            sample(G, F.domain.grid([4]))
+        assert issubclass(NonFiniteSampleError, FrontalForgeError)

@@ -1,5 +1,8 @@
 """Every name a frontalforge module imports is used by that module."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,16 @@ def test_allowlist_is_current():
     for module, name in sorted(TRACER_PATCHED):
         imported, used = imported_and_used(SRC / f"{module}.py")
         assert name in imported and name not in used, (module, name)
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    """verify imports its thread pool when a suite first splits; importing
+    concurrent.futures (and logging with it) at start-up would cost every
+    command about 10 ms."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, frontalforge.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

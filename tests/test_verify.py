@@ -1,9 +1,12 @@
 """The identity suites: thm1 and prop1 reports equal to the lazy path they
-replaced, one evaluation of the source per suite (thm3 and thm4 too), and
-pinned report bytes."""
+replaced, one evaluation of the source per suite (thm3 and thm4 too),
+pinned report bytes, and the same reports and errors when their grids are
+split into row blocks on parallel threads."""
 import dataclasses
 import hashlib
 import inspect
+import json
+import threading
 from collections import Counter
 
 import numpy as np
@@ -12,7 +15,8 @@ import pytest
 from frontalforge import verify
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
-from frontalforge.frontal import check_frontal
+from frontalforge.errors import GaussDegenerateError, PoleOnSilhouetteError
+from frontalforge.frontal import ParamDomain, check_frontal
 from frontalforge.transforms import anti_orthotomic, orthotomic, sample_poles
 
 SAMPLES = 256
@@ -205,3 +209,168 @@ def test_square_reconstruction_needs_a_sample_per_segment():
     with pytest.raises(ValueError, match="at least 8 samples"):
         verify.suite_square_reconstruction(verify.SQUARE_POLE, 7)
     assert verify.suite_square_reconstruction(verify.SQUARE_POLE, 8)["passed"]
+
+
+# -- thm1 and prop1 on row blocks in parallel threads -----------------------
+
+def _split(monkeypatch, cores):
+    """Split every thm1/prop1 grid of k rows into min(cores, k) blocks,
+    whatever this machine has; returns the block counts seen."""
+    seen = []
+    row_blocks = verify._row_blocks
+
+    def spy(k):
+        blocks = row_blocks(k)
+        seen.append(len(blocks))
+        return blocks
+    monkeypatch.setattr(verify, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(verify, "_row_blocks", spy)
+    return seen
+
+
+def _report_text(suite, F, samples, poles=None):
+    return json.dumps(verify.run_suite(suite, F, poles=poles, samples=samples),
+                      sort_keys=True)
+
+
+def test_row_blocks_cover_the_rows_in_order(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 3)
+    k = 3 * verify.MIN_BLOCK_ROWS - 1
+    assert verify._row_blocks(k) == [slice(0, k // 2), slice(k // 2, k)]
+    assert len(verify._row_blocks(k + 1)) == 3
+    k = verify.MIN_BLOCK_ROWS - 1
+    assert verify._row_blocks(k) == [slice(0, k)]
+    monkeypatch.setattr(verify, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 8)
+    assert verify._row_blocks(5) == [slice(i, i + 1) for i in range(5)]
+
+
+# (samples, cores): an odd row count in 2 and 3 blocks, and fewer rows than
+# cores, so each block is one row
+SPLITS = [(255, 2), (225, 3), (5, 8)]
+
+
+@pytest.mark.parametrize("samples,cores", SPLITS, ids=str)
+@pytest.mark.parametrize("suite", list(LAZY))
+@pytest.mark.parametrize("name", catalog_names())
+def test_split_report_equals_one_block(name, suite, samples, cores,
+                                       monkeypatch):
+    F = catalog(name)
+    want = _report_text(suite, F, samples)
+    seen = _split(monkeypatch, cores)
+    assert _report_text(suite, F, samples) == want
+    k = verify.grid_for(F, samples, interior_margin=1e-3).shape[0]
+    assert seen == [min(cores, k)] * verify.N_POLES
+
+
+def test_split_with_blocks_outside_the_separation_margin(monkeypatch):
+    """A pole 5e-4 inside the square's side x = 1: |(f-P).nu| = 5e-4 on that
+    side's segment, t in [1, 2), which is block 1 of 8, so that block has
+    no row for prop1's separation check; the others do."""
+    F = catalog("square")
+    P = [[1.0 - 5e-4, 0.0]]
+    want = _report_text("prop1", F, 4096, poles=P)
+    seen = _split(monkeypatch, 8)
+    kept = []
+    prop1_rows = verify._prop1_rows
+
+    def spy(*args):
+        out = prop1_rows(*args)
+        kept.append(bool(out[3]))
+        return out
+    monkeypatch.setattr(verify, "_prop1_rows", spy)
+    assert _report_text("prop1", F, 4096, poles=P) == want
+    assert seen == [8]
+    assert sorted(kept) == [False] + [True] * 7
+
+
+@pytest.mark.parametrize("suite", list(LAZY))
+def test_split_keeps_a_nan_of_any_block(suite, monkeypatch):
+    """A NaN in the last row's f makes the one-block maxima of the pole NaN;
+    the split combines its block maxima with np.max, so it reports what
+    the one-block path does.  Python's max over the blocks would keep the
+    first block's finite maximum instead."""
+    F = catalog("circle")
+
+    def f(x):
+        out = catalog("circle").f(x)
+        out[-1] = np.nan
+        return out
+    F = dataclasses.replace(F, f=f)
+    P = [[0.1, 0.2]]
+    with np.errstate(invalid="ignore"):
+        want = _report_text(suite, F, 255, poles=P)
+        seen = _split(monkeypatch, 2)
+        assert _report_text(suite, F, 255, poles=P) == want
+    assert seen == [2]
+
+
+@pytest.mark.parametrize("suite,name", list(REPORT_SHA256),
+                         ids=lambda v: v)
+def test_suite_report_bytes_pinned_under_split(suite, name, tmp_path,
+                                               monkeypatch):
+    """The report pins hold with each grid in 3 blocks on 3 threads."""
+    seen = _split(monkeypatch, 3)
+    monkeypatch.setattr(verify, "MIN_BLOCK_ROWS", 1024)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", suite, "--catalog", name,
+                 "--samples", "4096", "--json", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[suite, name]
+    assert seen == [3] * verify.N_POLES
+
+
+# circle poles on the silhouette: at t = pi only (row 600 of 1200, in a
+# helper's block), and at t = pi/3 and 5pi/3 (rows 200 and 1000, in the
+# first and the last block)
+@pytest.mark.parametrize("pole", [(-1.0, 0.0), (2.0, 0.0)], ids=str)
+@pytest.mark.parametrize("suite,error", [("thm1", PoleOnSilhouetteError),
+                                         ("prop1", GaussDegenerateError)])
+def test_split_raises_the_one_block_error(suite, error, pole, monkeypatch):
+    F = catalog("circle")
+
+    def raised():
+        with pytest.raises(error) as info:
+            verify.run_suite(suite, F, poles=[pole], samples=1200)
+        return info.value
+
+    want = raised()
+    seen = _split(monkeypatch, 3)
+    got = raised()
+    assert seen == [3]
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.value == want.value
+
+
+@pytest.mark.parametrize("suite", list(LAZY))
+def test_split_calls_traced_code_on_main_thread_only(suite, monkeypatch):
+    """perfbench/tracer.py keeps one span stack: the transform builders,
+    ParamDomain.wrap, the catalog evaluators and the pole sampler run on
+    the main thread; the per-row checks run on helper threads too."""
+    threads = Counter()
+
+    def spied(key, fun):
+        def call(*args, **kw):
+            is_main = threading.current_thread() is threading.main_thread()
+            threads[key, is_main] += 1
+            return fun(*args, **kw)
+        return call
+
+    for key in ("orthotomic", "anti_orthotomic", "sample_poles",
+                "_thm1_rows", "_prop1_rows"):
+        monkeypatch.setattr(verify, key, spied(key, getattr(verify, key)))
+    monkeypatch.setattr(ParamDomain, "wrap", spied("wrap", ParamDomain.wrap))
+    F = catalog("circle")
+    F = dataclasses.replace(F, **{key: spied(key, getattr(F, key))
+                                  for key in ("f", "nu", "jac_f", "jac_nu")})
+    seen = _split(monkeypatch, 2)
+    verify.run_suite(suite, F, samples=1024)
+    assert seen == [2] * verify.N_POLES
+    rows = f"_{suite}_rows"
+    assert threads[rows, True] == threads[rows, False] == verify.N_POLES
+    off_main = {key for key, is_main in threads if not is_main}
+    assert off_main == {rows}
+    assert {key for key, _ in threads} >= {
+        "orthotomic", "sample_poles", "wrap", "f", "nu", "jac_f", "jac_nu"}
