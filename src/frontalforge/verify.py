@@ -106,8 +106,8 @@ def _in_blocks(fn, arrays, *args) -> list:
         parts = [run(blocks[0])]
     except Exception:
         parts = None
-    # every block ends before anything else runs
-    if parts is None or any(f.exception() is not None for f in futures):
+    errors = [f.exception() for f in futures]  # waits for every block
+    if parts is None or any(errors):
         return [run(slice(None))]
     return parts + [f.result() for f in futures]
 

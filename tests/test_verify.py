@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import json
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -319,6 +320,27 @@ def test_suite_report_bytes_pinned_under_split(suite, name, tmp_path,
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[suite, name]
     assert seen == [3] * verify.N_POLES
+
+
+def test_block_error_waits_for_every_block(monkeypatch):
+    """When block 0 raises, the one-block run starts only after the helper's
+    block has ended."""
+    events = []
+
+    def fn(x):
+        if len(x) == 4:
+            events.append("one block")
+            raise ValueError("one block")
+        if x[0] == 0:
+            events.append("block 0 raised")
+            raise ValueError("block 0")
+        time.sleep(0.05)
+        events.append("block 1 ended")
+
+    _split(monkeypatch, 2)
+    with pytest.raises(ValueError, match="one block"):
+        verify._in_blocks(fn, (np.arange(4),))
+    assert events == ["block 0 raised", "block 1 ended", "one block"]
 
 
 # circle poles on the silhouette: at t = pi only (row 600 of 1200, in a
