@@ -139,10 +139,9 @@ _SQUARE_F0, _SQUARE_F1, _SQUARE_N0, _SQUARE_N1 = \
 
 
 def _square_segments(t: np.ndarray):
-    """Segment index 0..7 and the offset u in [0, 1) within it."""
-    tau = np.mod(t, 8.0)
-    whole = np.floor(tau)
-    return whole.astype(int) % 8, tau - whole
+    """Segment index 0..7 and offset u in [0, 1) of t wrapped to [0, 8)."""
+    whole = np.floor(t)
+    return whole.astype(int) % 8, t - whole
 
 
 def _square_rows(seg, s, slope, const=None):
@@ -159,7 +158,7 @@ def square_normal_components(t: np.ndarray):
     Never (0, 0): on corner segments it interpolates between adjacent edge
     normals through a diagonal direction.
     """
-    seg, u = _square_segments(np.asarray(t, dtype=float))
+    seg, u = _square_segments(np.mod(np.asarray(t, dtype=float), 8.0))
     return tuple(_square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0))
 
 
@@ -170,7 +169,8 @@ def _square() -> Frontal:
                                      _SQUARE_F0), axis=-1)
 
     def nu(x):
-        n1, n2 = square_normal_components(x[:, 0])
+        seg, u = _square_segments(x[:, 0])
+        n1, n2 = _square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0)
         nrm = np.hypot(n1, n2)
         return np.stack([n1 / nrm, n2 / nrm], axis=-1)
 

@@ -142,10 +142,12 @@ def cmd_transform(args) -> int:
     # F is evaluated once; the image is the transform applied to it
     source = sample(F, grid)
     x, fv, nv = source.params, source.values, source.gauss
-    if args.no_gauss:  # the forward kinds' image exists where d = 0
-        image = SampledMap(x, T.image(x, fv, nv))
-    else:
-        image = SampledMap(x, *T.apply(x, fv, nv))
+    # an overflow is no warning: SampledMap raises on the non-finite image
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.no_gauss:  # the forward kinds' image exists where d = 0
+            image = SampledMap(x, T.image(x, fv, nv))
+        else:
+            image = SampledMap(x, *T.apply(x, fv, nv))
     tables = []
     if args.out:
         tables.append((args.out, csv_table(image)))

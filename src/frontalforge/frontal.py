@@ -269,22 +269,19 @@ class FrontalCheck:
         return self.max_residual <= FRONTAL_TOL
 
 
-def check_frontal(F: Frontal, grid: np.ndarray,
-                  jet: Optional[tuple] = None) -> FrontalCheck:
+def check_frontal(F: Frontal, grid: np.ndarray) -> FrontalCheck:
     """Max over grid points and Jacobian columns of |df_column . nu|.
 
-    Also records how far nu strays from unit norm on the grid.  jet, when
-    given, is F's order-1 jet at the grid points (see Frontal.eval), so a
-    caller that needs the jet anyway evaluates F once; without one, only
-    nu and Jf are evaluated, unless F's own jet gives all four.
+    Also records how far nu strays from unit norm on the grid.  Only nu
+    and Jf are evaluated, unless F's own jet gives all four.
     """
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
-    if jet is None and F.jet is None:
-        jet = (None, np.asarray(F.nu(grid), dtype=float),
-               F._jacobian(grid, 0), None)
-    _, nu, J, _ = jet or F.eval_wrapped(grid, 1)
+    if F.jet is None:
+        nu, J = np.asarray(F.nu(grid), dtype=float), F._jacobian(grid, 0)
+    else:
+        _, nu, J, _ = F.eval_wrapped(grid, 1)
     unit_defect = float(np.max(np.abs(row_norm(nu) - 1.0)))
     res = tangency_residuals(J, nu)
     flat = int(np.argmax(res))

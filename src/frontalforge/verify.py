@@ -51,13 +51,15 @@ SQUARE_POLE = (0.3, -0.2)  # square-reconstruction's pole when given none
 SQUARE_MIN_SAMPLES = 8  # one sample on each segment of the square
 
 
-def _poles_for(F: Frontal, grid: np.ndarray, poles, count: int = N_POLES,
-               values=None):
-    """The given poles as a (k, m) array, or `count` sampled NS poles
-    (values: F's (f, nu) on the grid, when the caller holds them)."""
+def _pole_grid(F: Frontal, samples: int, poles):
+    """The wrapped grid of a pole suite, F's order-1 jet on it, and the
+    poles: the given ones as a (k, m) array, or N_POLES sampled NS poles,
+    which the sampler finds from that jet."""
+    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
+    jet = F.eval_wrapped(grid, 1)
     if poles is None:
-        return sample_poles(F, grid, count, values=values)
-    return np.atleast_2d(np.asarray(poles, dtype=float))
+        return grid, jet, sample_poles(F, grid, N_POLES, values=jet)
+    return grid, jet, np.atleast_2d(np.asarray(poles, dtype=float))
 
 
 # Fewest rows a thread of a split suite takes.  Below about this many,
@@ -151,26 +153,22 @@ def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
     pole with no such point raises SupportDegenerateError).  F is
     evaluated once, at order 1; each orthotomic is applied to that jet,
     without the Gauss-map Jacobian the checks never read, on row blocks
-    in parallel (see _in_blocks)."""
-    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    jet = F.eval_wrapped(grid, 1)
-    poles = _poles_for(F, grid, poles, values=jet)
-    worst_identity = 0.0
-    worst_frontal = 0.0
-    min_separation = np.inf
+    in parallel (see _in_blocks).  Each value is one np.max or np.min
+    over every pole and block, so a NaN anywhere is reported and fails."""
+    grid, jet, poles = _pole_grid(F, samples, poles)
+    parts = []
     for P in poles:
-        parts = _in_blocks(_prop1_rows, (grid, *jet), P,
-                           orthotomic(F, P).apply)
-        # np.max/np.min over the blocks give the whole grid's value, NaN
-        # included, which Python's max and min would not
-        frontal, identity, separation, kept = zip(*parts)
-        worst_frontal = max(worst_frontal, float(np.max(frontal)))
-        worst_identity = max(worst_identity, float(np.max(identity)))
-        if not any(kept):
+        blocks = _in_blocks(_prop1_rows, (grid, *jet), P,
+                            orthotomic(F, P).apply)
+        if not any(kept for *_, kept in blocks):
             raise SupportDegenerateError(
                 f"pole {P.tolist()}: no grid point has |(f-P).nu| > "
                 f"{PROP1_MARGIN}, where prop1 tests f != f~")
-        min_separation = min(min_separation, float(np.min(separation)))
+        parts += blocks
+    frontal, identity, separation, _ = zip(*parts)
+    worst_frontal = float(np.max(frontal))
+    worst_identity = float(np.max(identity))
+    min_separation = float(np.min(separation))
     return {
         "suite": "prop1",
         "frontal": F.name,
@@ -185,15 +183,12 @@ def suite_prop1(F: Frontal, samples: int, poles=None) -> dict:
     }
 
 
-# what each value of _thm1_rows bounds, in order
-_THM1_KEYS = ("frontal", "support", "equidistance", "roundtrip", "roundtrip")
-
-
-def _thm1_rows(x, fv, nv, Jf, Jn, P, anti, back1, ortho, back2):
+def _thm1_rows(x, fv, nv, Jf, Jn, P, anti, ortho):
     """thm1's per-row checks of one pole on rows x and F's jet there, with
-    the applies of the anti-orthotomic, the orthotomic of its result
-    (back1), the orthotomic and the anti-orthotomic of its result (back2):
-    the maxima of the _THM1_KEYS residuals, one per round trip."""
+    the applies of the anti-orthotomic and the orthotomic: the maxima of
+    the frontal, support, equidistance and round-trip residuals.  An apply
+    reads only its kind, P and the values it is given, so ortho on anti's
+    values is the orthotomic of the anti-orthotomic, and vice versa."""
     ftv, ntv, Jft, _ = anti(x, fv, nv, Jf, Jn, gauss_jacobian=False)
     frontal = tangency_residuals(Jft, ntv).max()
     del Jft  # it serves the frontal check alone
@@ -202,35 +197,31 @@ def _thm1_rows(x, fv, nv, Jf, Jn, P, anti, back1, ortho, back2):
     support = np.max(np.abs(supp - r / 2.0))
     equidistance = np.max(np.abs(row_norm(ftv - P) - row_norm(ftv - fv)))
     # orthotomic of the anti-orthotomic restores F ...
-    trip1 = np.max(row_norm(back1(x, ftv, ntv)[0] - fv))
+    trip1 = np.max(row_norm(ortho(x, ftv, ntv)[0] - fv))
     # ... and anti-orthotomic of the orthotomic restores F
-    trip2 = np.max(row_norm(back2(x, *ortho(x, fv, nv))[0] - fv))
-    return frontal, support, equidistance, trip1, trip2
+    trip2 = np.max(row_norm(anti(x, *ortho(x, fv, nv))[0] - fv))
+    return frontal, support, equidistance, np.maximum(trip1, trip2)
 
 
 def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
     """Anti-orthotomic identities: induced-normal tangency, the support
     value (f~-P).nu~ = ||f-P||/2, the equidistance ||f~-P|| = ||f~-f||, and
     both round trips with the orthotomic.  F is evaluated once, at order
-    1; the transforms are applied to that jet (without the Gauss-map
-    Jacobian the checks never read) and to the values they give, on row
-    blocks in parallel (see _in_blocks)."""
-    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    jet = F.eval_wrapped(grid, 1)
-    poles = _poles_for(F, grid, poles, values=jet)
-    worst = {"frontal": 0.0, "support": 0.0, "equidistance": 0.0,
-             "roundtrip": 0.0}
+    1; the two transforms of each pole are applied to that jet (without
+    the Gauss-map Jacobian the checks never read) and to the values they
+    give, on row blocks in parallel (see _in_blocks).  Each residual is
+    one np.max over every pole and block, so a NaN anywhere is reported
+    and fails."""
+    grid, jet, poles = _pole_grid(F, samples, poles)
+    parts = []
     for P in poles:
-        anti = anti_orthotomic(F, P)
-        ortho = orthotomic(F, P)
-        parts = _in_blocks(_thm1_rows, (grid, *jet), P, anti.apply,
-                           orthotomic(anti.result, P).apply, ortho.apply,
-                           anti_orthotomic(ortho.result, P).apply)
-        # np.max over the blocks gives the whole grid's value, NaN included
-        for key, values in zip(_THM1_KEYS, zip(*parts)):
-            worst[key] = max(worst[key], float(np.max(values)))
+        parts += _in_blocks(_thm1_rows, (grid, *jet), P,
+                            anti_orthotomic(F, P).apply,
+                            orthotomic(F, P).apply)
+    # in the order of _thm1_rows' values
     tols = {"frontal": FRONTAL_TOL, "support": 1e-8, "equidistance": 1e-9,
             "roundtrip": 1e-8}
+    worst = {key: float(np.max(v)) for key, v in zip(tols, zip(*parts))}
     return {
         "suite": "thm1",
         "frontal": F.name,
@@ -280,9 +271,7 @@ def suite_thm3(F: Frontal, samples: int, poles=None) -> dict:
     coefficient is bounded away from zero (points where |nu2| <=
     THM3_NU2_MIN are skipped and counted).  One order-1 evaluation of F
     on the grid feeds the pole sampler, gamma and every pole's residual."""
-    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    jet = F.eval_wrapped(grid, 1)
-    poles = _poles_for(F, grid, poles, values=jet)
+    grid, jet, poles = _pole_grid(F, samples, poles)
     worst = 0.0
     tested = 0
     for P in poles:
@@ -308,9 +297,7 @@ def suite_thm4(F: Frontal, samples: int, poles=None) -> dict:
     """Three-way agreement of the front criteria outside the rank-ambiguity
     band.  One order-1 evaluation of F on the grid feeds the pole sampler
     and every pole's criteria."""
-    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    jet = F.eval_wrapped(grid, 1)
-    poles = _poles_for(F, grid, poles, values=jet)
+    grid, jet, poles = _pole_grid(F, samples, poles)
     tested = 0
     excluded = 0
     inconsistent = 0
@@ -428,9 +415,10 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
     if name == "frontal-condition":
         return suite_frontal_condition(F, samples=samples)
     if name == "thm2":
-        grid = grid_for(F, samples, interior_margin=1e-3)
-        return suite_thm2(F, _poles_for(F, grid, poles, 1)[0],
-                          samples=samples)
+        if poles is None:
+            grid = grid_for(F, samples, interior_margin=1e-3)
+            poles = sample_poles(F, grid, 1)
+        return suite_thm2(F, poles[0], samples=samples)
     # looked up at call time, so a wrapped suite_* is the one that runs
     suite = globals()["suite_" + name]
     return suite(F, samples=samples, poles=poles)

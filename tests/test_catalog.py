@@ -349,3 +349,18 @@ class TestSquareByteOracle:
             for i, (got, want) in enumerate(zip(
                     square_normal_components(t), _ref_normal_components(t))):
                 _assert_same_bits(got, want, f"n{i + 1} on {label}")
+
+    def test_segments_of_wrapped_points_skip_the_mod(self):
+        """The evaluators get points wrapped into [0, 8), which np.mod(t, 8)
+        returns unchanged: (seg, u) have the bits they had with the mod."""
+        F = catalog("square")
+        t = np.random.default_rng(20261019).uniform(-20.0, 30.0, 10**5)
+        edges = [0.0, -0.0, np.nextafter(8.0, 0.0), -1e-300, 8.0, 1.0,
+                 np.nextafter(1.0, 0.0), 7.0 + 2.0**-50]
+        t = F.domain.wrap(np.concatenate([edges, t])[:, None])[:, 0]
+        assert np.signbit(t[1])  # -0.0 is in [0, 8): it stays -0.0
+        tau = np.mod(t, 8.0)
+        whole = np.floor(tau)
+        seg, u = _square_segments(t)
+        np.testing.assert_array_equal(seg, whole.astype(int) % 8)
+        _assert_same_bits(u, tau - whole, "u")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -281,8 +282,6 @@ class TestTransform:
         assert code == EXIT_OK
         assert rows == {"f": 100, "nu": 100}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered",
-                                "ignore:invalid value encountered")
     def test_non_finite_image_is_degeneracy(self, tmp_path, capsys):
         """The orthotomic of a circle of radius 1e308 has radius 2e308,
         which is inf: a typed error, exit 3, and no file."""
@@ -295,6 +294,27 @@ class TestTransform:
         assert "error: numerical degeneracy [NonFiniteSampleError]" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("no_gauss", [False, True])
+    @pytest.mark.parametrize("kind", ["orthotomic", "pedal",
+                                      "anti-orthotomic", "negative-pedal"])
+    def test_overflow_prints_no_warning(self, kind, no_gauss, capsys):
+        """On a circle of radius 1e308 the transform arithmetic overflows.
+        stderr is the one error line, or empty where the image is finite
+        (the pedal without its Gauss map); numpy warns nothing."""
+        argv = ["transform", "--catalog", "circle", "--param", "R=1e308",
+                "--kind", kind, "--pole", "0,0", "--samples", "16"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--no-gauss"] * no_gauss)
+        assert caught == []
+        err = capsys.readouterr().err
+        if kind == "pedal" and no_gauss:
+            assert (code, err) == (EXIT_OK, "")
+        else:
+            assert code == EXIT_DEGENERATE
+            assert err.startswith("error: numerical degeneracy [")
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["transform", "--catalog", "cusp", "--kind", "orthotomic",

@@ -17,7 +17,7 @@ from frontalforge import verify
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
 from frontalforge.errors import GaussDegenerateError, PoleOnSilhouetteError
-from frontalforge.frontal import ParamDomain, check_frontal
+from frontalforge.frontal import ParamDomain, tangency_residuals
 from frontalforge.transforms import anti_orthotomic, orthotomic, sample_poles
 
 SAMPLES = 256
@@ -40,7 +40,7 @@ def _lazy_prop1(F, samples):
         jet = G.eval(grid, 1)
         fv, nv = jet[:2]
         worst_frontal = max(worst_frontal,
-                            check_frontal(G, grid, jet=jet).max_residual)
+                            tangency_residuals(jet[2], jet[1]).max())
         d_tilde = np.einsum("km,km->k", ft - P, nt)
         lhs = _norm(fv - ft) * np.einsum("km,km->k", fv - P, nv)
         worst_identity = max(worst_identity,
@@ -72,7 +72,7 @@ def _lazy_thm1(F, samples):
         jet = anti.eval(grid, 1)
         ftv, ntv = jet[:2]
         worst["frontal"] = max(worst["frontal"],
-                               check_frontal(anti, grid, jet=jet).max_residual)
+                               tangency_residuals(jet[2], jet[1]).max())
         supp = np.einsum("km,km->k", ftv - P, ntv)
         worst["support"] = max(worst["support"], float(np.max(
             np.abs(supp - _norm(fv - P) / 2.0))))
@@ -93,6 +93,11 @@ def _lazy_thm1(F, samples):
 
 
 LAZY = {"thm1": _lazy_thm1, "prop1": _lazy_prop1}
+
+# each residual of a suite's report, by its index in the _*_rows values
+_ROW_KEYS = {"thm1": ("frontal", "support", "equidistance", "roundtrip"),
+             "prop1": ("max_frontal_residual", "max_identity_residual",
+                       "min_separation")}
 
 
 @pytest.mark.parametrize("suite", list(LAZY))
@@ -288,10 +293,10 @@ def test_split_with_blocks_outside_the_separation_margin(monkeypatch):
 
 @pytest.mark.parametrize("suite", list(LAZY))
 def test_split_keeps_a_nan_of_any_block(suite, monkeypatch):
-    """A NaN in the last row's f makes the one-block maxima of the pole NaN;
-    the split combines its block maxima with np.max, so it reports what
-    the one-block path does.  Python's max over the blocks would keep the
-    first block's finite maximum instead."""
+    """A NaN in the last row's f makes the maxima of the pole's last block
+    NaN.  Split or not, the report has that NaN and fails: every block
+    maximum of every pole meets in one np.max, where Python's max from a
+    finite value would drop it."""
     F = catalog("circle")
 
     def f(x):
@@ -305,6 +310,12 @@ def test_split_keeps_a_nan_of_any_block(suite, monkeypatch):
         seen = _split(monkeypatch, 2)
         assert _report_text(suite, F, 255, poles=P) == want
     assert seen == [2]
+    rep = json.loads(want)
+    assert rep["passed"] is False
+    values = rep["max_residuals"] if suite == "thm1" else rep
+    # the NaN row has no separation margin, so min_separation stays finite
+    keys = [key for key in _ROW_KEYS[suite] if key != "min_separation"]
+    assert np.isnan([values[key] for key in keys]).all()
 
 
 @pytest.mark.parametrize("suite,name", list(REPORT_SHA256),
@@ -396,3 +407,51 @@ def test_split_calls_traced_code_on_main_thread_only(suite, monkeypatch):
     assert off_main == {rows}
     assert {key for key, _ in threads} >= {
         "orthotomic", "sample_poles", "wrap", "f", "nu", "jac_f", "jac_nu"}
+
+
+# -- every pole and block in one reduction ---------------------------------
+
+@pytest.mark.parametrize("suite,index,key",
+                         [(suite, i, key) for suite, keys in _ROW_KEYS.items()
+                          for i, key in enumerate(keys)])
+def test_nan_of_a_middle_pole_fails_the_report(suite, index, key, tmp_path,
+                                               monkeypatch):
+    """A NaN in one value of the 2nd of 3 poles reaches the report as NaN,
+    and verify exits 1."""
+    rows = getattr(verify, f"_{suite}_rows")
+    calls = []
+
+    def spy(*args):
+        out = list(rows(*args))
+        calls.append(out)
+        if len(calls) == 2:
+            out[index] = np.nan
+        return tuple(out)
+    monkeypatch.setattr(verify, f"_{suite}_rows", spy)
+    out = tmp_path / "r.json"
+    code = main(["verify", "--suite", suite, "--catalog", "circle",
+                 "--poles", "auto:3", "--samples", "256", "--json", str(out)])
+    rep = json.loads(out.read_text())
+    assert len(calls) == len(rep["poles"]) == 3
+    assert code == 1 and rep["passed"] is False
+    values = rep["max_residuals"] if suite == "thm1" else rep
+    assert np.isnan(values[key])
+    assert not any(np.isnan(v) for k, v in values.items()
+                   if k != key and isinstance(v, float))
+
+
+def test_thm1_builds_two_transforms_per_pole(monkeypatch):
+    built = Counter()
+
+    def spied(key, fun):
+        def call(*args):
+            built[key] += 1
+            return fun(*args)
+        return call
+
+    for key in ("orthotomic", "anti_orthotomic"):
+        monkeypatch.setattr(verify, key, spied(key, getattr(verify, key)))
+    rep = verify.run_suite("thm1", catalog("circle"), samples=SAMPLES)
+    n = len(rep["poles"])
+    assert n == verify.N_POLES
+    assert built == {"orthotomic": n, "anti_orthotomic": n}
