@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteSampleError
 from .frontal import Frontal
 from .linalg import (RANK_SCALE_FLOOR, numeric_rank, row_norm,
                      singular_values)
@@ -129,12 +130,8 @@ def opening_residual(F: Frontal, P, x, nu2_tol: float = 1e-9,
     xw = F.domain.wrap(x)
     if jet is None:
         jet = F.eval_wrapped(xw, 1)
-    fv, nv = jet[:2]
-    u = fv - P
-    r = row_norm(u)
-    # nu2 = (nu . u) / r; a pole on the image (r = 0) is degenerate too
-    degenerate = np.abs(_dot(nv, u)) <= nu2_tol * r
-    keep = ~degenerate
+    keep = ~nu2_degenerate(jet, P, nu2_tol)
+    r = row_norm(jet[0] - P)
     _, nv, Jf, _ = jet = [a[keep] for a in jet]
     _, nt, _, Jnt = anti_orthotomic(F, P).apply(xw[keep], *jet)
     nu2 = _dot(nv, nt)
@@ -146,6 +143,15 @@ def opening_residual(F: Frontal, P, x, nu2_tol: float = 1e-9,
     res = np.full(x.shape[0], np.nan)
     res[keep] = np.max(np.abs(total), axis=1)
     return res
+
+
+def nu2_degenerate(jet: tuple, P, nu2_tol: float) -> np.ndarray:
+    """The rows of F's jet where opening_residual's normal coefficient
+    nu2 = nu . (f-P) / ||f-P|| has |nu2| <= nu2_tol, a pole on the image
+    (f = P) included.  A NaN in f or nu leaves its row out."""
+    fv, nv = jet[:2]
+    u = fv - np.asarray(P, dtype=float)
+    return np.abs(_dot(nv, u)) <= nu2_tol * row_norm(u)
 
 
 def _stacked(J_top, J_bot):
@@ -191,7 +197,8 @@ def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
     has one inside the rank-ambiguity band, where rank decisions are
     unreliable.  The anti-orthotomic is applied to F's one order-1 jet:
     `jet` at the wrapped x when given (as in opening_residual), else a
-    fresh evaluation.
+    fresh evaluation.  A row whose stacked Jacobians are not finite raises
+    NonFiniteSampleError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -202,6 +209,10 @@ def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
     _, _, Jf, Jn = jet
     _, _, Jft, Jnt = anti_orthotomic(F, P).apply(xw, *jet)
     S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
+    finite = np.isfinite(S).all(axis=(0, 2, 3))
+    if not finite.all():  # an SVD of them would not converge
+        raise NonFiniteSampleError("non-finite Jacobian at x="
+                                   f"{x[np.argmin(finite)].tolist()!r}")
     sv = singular_values(S)
     ref = np.maximum(sv[..., :1], RANK_SCALE_FLOOR)
     ranks = np.sum(sv > tol * ref, axis=-1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .frontal import Frontal
-from .io import Table, csv_rows, table_text
+from .io import Table, table_text
 from .linalg import col_bounds
 
 DEFAULT_NS_TOL_FRAC = 1e-9
@@ -193,4 +193,4 @@ def raster_to_csv(raster: RasterGrid) -> str:
     nx, ny = raster.resolution
     blocks = [np.tile(xs, ny)[:, None], np.repeat(ys, nx)[:, None],
               raster.cells.astype(int).reshape(-1, 1)]
-    return table_text(Table("x,y,member\n", blocks, csv_rows))
+    return table_text(Table("x,y,member\n", blocks))

@@ -6,8 +6,10 @@ import pytest
 from frontalforge.catalog import catalog
 from frontalforge.cli import main
 from frontalforge.frontal import SampledMap, sample
-from frontalforge.io import (_CHUNK_ROWS, _lengths, _split_arcs, csv_table,
-                             curve_to_svg, sampled_map_to_csv, svg_table,
+import frontalforge.io as ffio
+from frontalforge.io import (_CHUNK_ROWS, Table, _lengths, _split_arcs,
+                             csv_table, curve_to_svg, float_texts,
+                             sampled_map_to_csv, svg_table, table_text,
                              write_tables)
 from frontalforge.silhouette import RasterGrid, raster_to_csv
 from frontalforge.transforms import TransformKind, orthotomic, transform
@@ -323,6 +325,73 @@ class TestByteOracle:
         raster = RasterGrid(bbox=(-1e-5, 0.1, -1e16, 1e300),
                             resolution=(nx, ny), cells=cells)
         _same(raster_to_csv(raster), _ref_raster_csv(raster))
+
+
+def _formatter_floats():
+    """About 2e5 doubles, both signs of each: zeros, subnormals, infinities
+    and NaN; every power of 2 and of 10 with its neighbours; 2^53 +- k;
+    the edges of repr's fixed notation and their neighbours; and random
+    bit patterns."""
+    rng = np.random.default_rng(20200704)
+    powers = np.array([2.0 ** e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    edges = np.array([1e-5, 1e-4, 9999999999999998.0, 1e16])
+    for _ in range(3):
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                np.nextafter(edges, 0.0)])
+    x = np.concatenate([
+        [0.0, 5e-324, 2.225073858507201e-308, np.inf, np.nan],
+        rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(float),
+        powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0),
+        2.0**53 + np.arange(-2000.0, 2001.0), edges,
+        rng.integers(0, 2**63, size=80000, dtype=np.uint64).view(float)])
+    return np.concatenate([x, -x])
+
+
+class TestFormatterOracle:
+    """The vectorised formatter against repr, value by value."""
+
+    def test_floats(self):
+        x = _formatter_floats()
+        assert 1.8e5 < x.size < 2.2e5
+        text = table_text(Table("", [x[:, None]]))
+        assert text.split("\n")[:-1] == list(map(repr, x.tolist()))
+
+    def test_ints(self):
+        rng = np.random.default_rng(7)
+        tens = 10 ** np.arange(19, dtype=np.int64)
+        x = np.concatenate([
+            [0, 1, -1, 2**63 - 1, -2**63, -2**63 + 1], tens, tens - 1,
+            -tens, 1 - tens, rng.integers(-1000, 1000, size=1000),
+            rng.integers(-2**63, 2**63 - 1, size=20000, dtype=np.int64)])
+        text = table_text(Table("", [x[:, None]]))
+        assert text.split("\n")[:-1] == list(map(repr, x.tolist()))
+
+    def test_float_texts(self):
+        x = np.array([0.1, -0.0, 1e-5, 1e16, 123.0, 5e-324, -np.inf])
+        assert float_texts(x) == list(map(repr, x.tolist()))
+
+
+def test_square_transform_needs_no_repr(monkeypatch, tmp_path):
+    """Every value of a square transform's files, its zeros included, goes
+    through the formatter: none is left to repr."""
+    sent = []
+    to_repr = ffio._repr_cells
+
+    def spy(cells, x, rows):
+        sent.append(rows.size)
+        to_repr(cells, x, rows)
+    monkeypatch.setattr(ffio, "_repr_cells", spy)
+    table_text(Table("", [np.array([[1.0], [np.nan]])]))
+    assert sent == [1]  # the spy sees what goes to repr
+    sent.clear()
+    out = {opt: tmp_path / opt for opt in ("out", "svg", "source-out")}
+    assert main(["transform", "--catalog", "square", "--kind", "orthotomic",
+                 "--pole=0.3,-0.2", "--samples", "4096",
+                 *[f"--{opt}={path}" for opt, path in out.items()]]) == 0
+    assert sent == []
+    source = out["source-out"].read_text().split("\n", 1)[1]
+    assert "0.0" in source.replace("\n", ",").split(",")
 
 
 def test_sampled_map_validation():

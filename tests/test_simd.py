@@ -15,6 +15,7 @@ GOLDEN_TESTS = (
     "tests/test_verify.py::test_suite_report_bytes_pinned",
     "tests/test_verify.py::test_suite_report_bytes_pinned_under_split",
     "tests/test_io.py::TestByteOracle",
+    "tests/test_io.py::TestFormatterOracle",
 )
 
 

@@ -16,7 +16,8 @@ import pytest
 from frontalforge import verify
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
-from frontalforge.errors import GaussDegenerateError, PoleOnSilhouetteError
+from frontalforge.errors import (GaussDegenerateError, NonFiniteSampleError,
+                                 PoleOnSilhouetteError)
 from frontalforge.frontal import ParamDomain, tangency_residuals
 from frontalforge.transforms import anti_orthotomic, orthotomic, sample_poles
 
@@ -291,19 +292,53 @@ def test_split_with_blocks_outside_the_separation_margin(monkeypatch):
     assert sorted(kept) == [False] + [True] * 7
 
 
+def _nan_row_circle():
+    """The circle with the f of its last grid row set to NaN."""
+    def f(x):
+        out = catalog("circle").f(x)
+        out[-1] = np.nan
+        return out
+    return dataclasses.replace(catalog("circle"), f=f)
+
+
+def test_thm3_reports_a_nan_row():
+    """A NaN residual is no degenerate nu2: thm3 tests its row, and the NaN
+    reaches max_scaled_residual and fails the report."""
+    with np.errstate(invalid="ignore"):
+        rep = verify.run_suite("thm3", _nan_row_circle(), poles=[[0.1, 0.2]],
+                               samples=255)
+    assert rep["points_tested"] == 255
+    assert rep["points_skipped"] == {"degenerate_nu2": 0}
+    assert np.isnan(rep["max_scaled_residual"])
+    assert rep["passed"] is False
+
+
+def test_thm3_skips_a_pole_on_the_image():
+    """The one row where f = P has nu2 undefined: skipped and counted."""
+    F = catalog("circle")
+    grid = F.domain.wrap(verify.grid_for(F, 255, interior_margin=1e-3))
+    rep = verify.run_suite("thm3", F, poles=F.f(grid[100:101]), samples=255)
+    assert rep["points_skipped"] == {"degenerate_nu2": 1}
+    assert rep["points_tested"] == 254
+    assert rep["passed"] is True
+
+
+def test_thm4_rejects_a_nan_row():
+    """A NaN row makes the stacked Jacobians non-finite: front_equivalence
+    raises NonFiniteSampleError before an SVD that would not converge."""
+    with pytest.raises(NonFiniteSampleError, match="non-finite Jacobian"), \
+            np.errstate(invalid="ignore"):
+        verify.run_suite("thm4", _nan_row_circle(), poles=[[0.1, 0.2]],
+                         samples=255)
+
+
 @pytest.mark.parametrize("suite", list(LAZY))
 def test_split_keeps_a_nan_of_any_block(suite, monkeypatch):
     """A NaN in the last row's f makes the maxima of the pole's last block
     NaN.  Split or not, the report has that NaN and fails: every block
     maximum of every pole meets in one np.max, where Python's max from a
     finite value would drop it."""
-    F = catalog("circle")
-
-    def f(x):
-        out = catalog("circle").f(x)
-        out[-1] = np.nan
-        return out
-    F = dataclasses.replace(F, f=f)
+    F = _nan_row_circle()
     P = [[0.1, 0.2]]
     with np.errstate(invalid="ignore"):
         want = _report_text(suite, F, 255, poles=P)
