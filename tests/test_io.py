@@ -159,8 +159,10 @@ def _ref_raster_csv(raster):
 
 _SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 0.1, 3.0,
                      -7.0, 1e300, -1e300])
+# the edges of the first and of the second chunk, and a few chunks plus a tail
 _ROWS = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
-         3 * _CHUNK_ROWS + 7]
+         2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1,
+         3 * _CHUNK_ROWS + 7, 6 * _CHUNK_ROWS + 7]
 
 
 def _table(seed, k, c):
