@@ -5,9 +5,9 @@ and front criteria, with a catalog of analytic test frontals."""
 from .analysis import (CahnHoffmanReport, FrontReport, cahn_hoffman,
                        front_equivalence, is_front_at, opening_residual)
 from .catalog import catalog, catalog_names, smooth_step
-from .errors import (CatalogParameterError, DomainError, EmptyNSSetError,
-                     FrontalForgeError, GaussDegenerateError,
-                     PoleOnSilhouetteError, UnknownCatalogError)
+from .errors import (CatalogParameterError, DegenerateError, DomainError,
+                     EmptyNSSetError, FrontalForgeError, GaussDegenerateError,
+                     PoleOnSilhouetteError, UnknownCatalogError, UsageError)
 from .frontal import (Frontal, FrontalCheck, ParamDomain, SampledMap,
                       check_frontal, interval, jacobian_f, jacobian_nu,
                       sample)

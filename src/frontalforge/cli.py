@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: catalog, transform, verify, ns, cahn-hoffman, front-check.
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical degeneracy (pole on the silhouette, degenerate Gauss map of a
-forward transform, no pole found in the no-silhouette set, a non-finite
-sampled value, no point for prop1's separation check).
+Exit codes follow the error classes: 0 success, 1 verification failure,
+3 numerical degeneracy (an `errors.DegenerateError`), 2 usage or configuration
+error (any other `errors.FrontalForgeError`, as a --bbox whose width or height
+overflows, and argparse's own errors).
 
 Identical invocations produce byte-identical output files.
 """
@@ -23,10 +23,7 @@ from . import verify
 from .analysis import (DEFAULT_JNU_TOL, DEFAULT_RANK_TOL, cahn_hoffman,
                        front_equivalence)
 from .catalog import catalog, catalog_names
-from .errors import (CatalogParameterError, EmptyNSSetError,
-                     FrontalForgeError, GaussDegenerateError,
-                     NonFiniteSampleError, PoleOnSilhouetteError,
-                     SupportDegenerateError, UnknownCatalogError)
+from .errors import DegenerateError, FrontalForgeError, UsageError
 from .frontal import SampledMap, sample
 # curve_to_svg and sampled_map_to_csv stay bound for perfbench/tracer.py
 from .io import (csv_table, curve_to_svg, sampled_map_to_csv, svg_table,
@@ -41,21 +38,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-_DEGENERATE = (EmptyNSSetError, GaussDegenerateError, NonFiniteSampleError,
-               PoleOnSilhouetteError, SupportDegenerateError)
-
-
-class UsageError(Exception):
-    pass
-
 
 def _parse_params(args) -> dict:
     params = {}
-    if args.params:
-        try:
-            params.update(json.loads(args.params))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--params is not valid JSON: {exc}")
     for kv in args.param or []:
         if "=" not in kv:
             raise UsageError(f"--param expects key=value, got {kv!r}")
@@ -68,12 +53,9 @@ def _parse_params(args) -> dict:
 
 
 def _load_frontal(args):
-    if not getattr(args, "catalog", None):
+    if not args.catalog:
         raise UsageError("--catalog is required")
-    try:
-        return catalog(args.catalog, _parse_params(args))
-    except (UnknownCatalogError, CatalogParameterError) as exc:
-        raise UsageError(str(exc))
+    return catalog(args.catalog, _parse_params(args))
 
 
 def _parse_reals(text: str, what: str) -> list:
@@ -172,10 +154,6 @@ def cmd_verify(args) -> int:
         if args.catalog not in (None, "square"):
             raise UsageError("suite square-reconstruction runs on the square "
                              f"only, not --catalog {args.catalog!r}")
-        if samples < verify.SQUARE_MIN_SAMPLES:
-            raise UsageError("suite square-reconstruction needs --samples "
-                             f">= {verify.SQUARE_MIN_SAMPLES}, one per "
-                             "segment of the square")
     F = None if args.suite == "square-reconstruction" else _load_frontal(args)
     poles = None
     if args.pole or args.poles:
@@ -195,15 +173,10 @@ def cmd_verify(args) -> int:
 
 def cmd_ns(args) -> int:
     F = _load_frontal(args)
-    if F.ambient_dim != 2:
-        raise UsageError("ns raster requires ambient dimension 2")
     bbox = _parse_reals(args.bbox, "--bbox")
     if len(bbox) != 4:
         raise UsageError(f"bad --bbox {args.bbox!r}; expected "
                          "xmin,xmax,ymin,ymax")
-    xmin, xmax, ymin, ymax = bbox
-    if not (xmax > xmin and ymax > ymin):
-        raise UsageError("degenerate bounding box")
     parts = args.resolution.split(",")
     if not (len(parts) in (1, 2) and all(v.strip().isdecimal() for v in parts)
             and min(int(v) for v in parts) >= 2):
@@ -211,7 +184,7 @@ def cmd_ns(args) -> int:
                          "nx[,ny] with integers >= 2")
     res = (int(parts[0]), int(parts[-1]))
     grid = verify.grid_for(F, args.samples)
-    raster = ns_raster(F, (xmin, xmax, ymin, ymax), res, grid, args.tol_ns)
+    raster = ns_raster(F, bbox, res, grid, args.tol_ns)
     if args.out_pgm:
         _write(args.out_pgm, raster_to_pgm(raster))
     if args.out_csv:
@@ -296,7 +269,6 @@ def _add_frontal_args(p):
     p.add_argument("--catalog", help="catalog frontal name")
     p.add_argument("--param", action="append",
                    help="catalog parameter key=value (repeatable)")
-    p.add_argument("--params", help="catalog parameters as a JSON object")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,10 +364,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DEGENERATE as exc:
+    except DegenerateError as exc:
         print(f"error: numerical degeneracy "
               f"[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

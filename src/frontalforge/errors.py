@@ -18,7 +18,17 @@ class CatalogParameterError(FrontalForgeError):
     """Invalid parameter passed to a catalog constructor."""
 
 
-class GaussDegenerateError(FrontalForgeError):
+class UsageError(FrontalForgeError, ValueError):
+    """An argument that a call does not accept."""
+
+
+class DegenerateError(FrontalForgeError):
+    """Numerical degeneracy: the hypothesis (f(x)-P).nu(x) != 0, or a
+    value computed from it, fails on the input.  The CLI exits 3 on this
+    class and 2 on every other FrontalForgeError."""
+
+
+class GaussDegenerateError(DegenerateError):
     """The induced Gauss map of an orthotomic/pedal is undefined at a point
     where (f~(x)-P).nu~(x) vanishes (the image point coincides with the
     source point there)."""
@@ -31,22 +41,22 @@ class GaussDegenerateError(FrontalForgeError):
         )
 
 
-class EmptyNSSetError(FrontalForgeError, RuntimeError):
+class EmptyNSSetError(DegenerateError, RuntimeError):
     """The pole sampler found fewer no-silhouette poles than requested."""
 
 
-class NonFiniteSampleError(FrontalForgeError, ValueError):
+class NonFiniteSampleError(DegenerateError, ValueError):
     """A sampled map holds a value that is not finite, as where an image
     overflows (the orthotomic of a circle of radius 1e308 has radius
     2e308 = inf)."""
 
 
-class SupportDegenerateError(FrontalForgeError):
+class SupportDegenerateError(DegenerateError):
     """No grid point has a support value |(f-P).nu| above the margin that
     prop1's separation check needs, so f != f~ has no point to test."""
 
 
-class PoleOnSilhouetteError(FrontalForgeError):
+class PoleOnSilhouetteError(DegenerateError):
     """The pole P fails the no-silhouette condition (f(x)-P).nu(x) != 0 at a
     requested point; the inverse-transform formulas divide by that quantity."""
 

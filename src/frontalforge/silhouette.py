@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .errors import UsageError
 from .frontal import Frontal
 from .io import Table, table_text
 from .linalg import col_bounds
@@ -40,7 +41,7 @@ class NSReport:
 @dataclass(frozen=True)
 class RasterGrid:
     """Boolean membership raster over a planar bounding box; cells[iy, ix]
-    is evaluated at the cell center."""
+    is evaluated at the cell center, which must be finite."""
 
     bbox: tuple  # (xmin, xmax, ymin, ymax)
     resolution: tuple  # (nx, ny)
@@ -49,12 +50,16 @@ class RasterGrid:
     def __post_init__(self):
         xmin, xmax, ymin, ymax = self.bbox
         if not (xmax > xmin and ymax > ymin):
-            raise ValueError("degenerate bounding box")
+            raise UsageError("degenerate bounding box")
         nx, ny = self.resolution
         if nx < 2 or ny < 2:
-            raise ValueError("resolution must be at least 2x2")
+            raise UsageError("resolution must be at least 2x2")
         if self.cells.shape != (ny, nx):
             raise ValueError("cells shape does not match resolution")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(np.isfinite(c).all() for c in self.centers()):
+                raise UsageError("bounding box too large: a cell centre "
+                                 "overflows")
 
     def centers(self):
         """Cell-center coordinate axes (xs (nx,), ys (ny,))."""
@@ -121,7 +126,7 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
     FMA use or summation order the BLAS picks.
     """
     if F.ambient_dim != 2:
-        raise ValueError("ns_raster requires ambient dimension 2")
+        raise UsageError("ns_raster requires ambient dimension 2")
     if np.isscalar(resolution):
         resolution = (int(resolution), int(resolution))
     nx, ny = resolution

@@ -153,10 +153,11 @@ def transform(kind: TransformKind, F: Frontal, P,
             d = _dot(u, nv)
             _raise_at_first(np.abs(d) <= degeneracy_tol, x, d,
                             GaussDegenerateError)
-            nt = 2.0 * d[:, None] * nv + P - fv  # orthotomic minus source
+            o = 2.0 * d[:, None] * nv + P  # the orthotomic
+            nt = o - fv
             norm = row_norm(nt)
             nt /= norm[:, None]
-            ft = foot(d, nv)
+            ft = o if lam == 2.0 else foot(d, nv)
             if not J:
                 return ft, nt
             Jf, Jn = J

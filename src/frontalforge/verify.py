@@ -13,7 +13,7 @@ import numpy as np
 from .analysis import (cahn_hoffman, front_equivalence, nu2_degenerate,
                        opening_residual)
 from .catalog import catalog
-from .errors import SupportDegenerateError
+from .errors import SupportDegenerateError, UsageError
 from .frontal import (FRONTAL_TOL, Frontal, ParamDomain, check_frontal,
                       tangency_residuals)
 from .linalg import row_norm
@@ -326,7 +326,7 @@ def suite_square_reconstruction(P, samples: int) -> dict:
     vertex-centered arcs with the predicted radii on the side away from P,
     and the pedal as the 50% shrink toward P."""
     if samples < SQUARE_MIN_SAMPLES:
-        raise ValueError(f"square-reconstruction needs at least "
+        raise UsageError(f"square-reconstruction needs at least "
                          f"{SQUARE_MIN_SAMPLES} samples; got {samples}")
     P = np.asarray(P, dtype=float)
     p1, p2 = P
@@ -406,7 +406,7 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
     sampled NS poles (thm2: one; square-reconstruction: SQUARE_POLE).
     samples: DEFAULT_SAMPLES[name] when None."""
     if name not in DEFAULT_SAMPLES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+        raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = samples or DEFAULT_SAMPLES[name]
     if poles is not None:
         poles = np.atleast_2d(np.asarray(poles, dtype=float))
@@ -414,7 +414,7 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
         P = SQUARE_POLE if poles is None else poles[0]
         return suite_square_reconstruction(P, samples=samples)
     if F is None:
-        raise ValueError(f"suite {name!r} needs a frontal")
+        raise UsageError(f"suite {name!r} needs a frontal")
     if name == "frontal-condition":
         return suite_frontal_condition(F, samples=samples)
     if name == "thm2":

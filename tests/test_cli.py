@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from frontalforge import cli
+from frontalforge import cli, errors
 from frontalforge.catalog import catalog
 from frontalforge.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE,
                               EXIT_VERIFY_FAIL, main)
@@ -530,6 +530,21 @@ class TestNs:
         assert run(["ns", "--catalog", "sphere", "--bbox=-2,2,-2,2",
                     "--resolution", "8"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("option", ["--out-pgm", "--out-csv"])
+    def test_overflowing_bbox_is_usage_error(self, option, tmp_path, capsys):
+        """xmax - xmin overflows to inf, which made the cell centres inf:
+        an all-0 PGM, `inf,inf,0` CSV rows and numpy warnings, exit 0."""
+        out = tmp_path / "r.out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["ns", "--catalog", "circle",
+                        "--bbox=-1e308,1e308,-1e308,1e308", "--resolution",
+                        "4", "--samples", "64", option, str(out)])
+        assert (code, caught) == (EXIT_USAGE, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err and not out.exists()
+
     def test_determinism(self, tmp_path):
         argv = ["ns", "--catalog", "square", "--bbox=-3,3,-3,3",
                 "--resolution", "32", "--samples", "512"]
@@ -578,3 +593,66 @@ class TestReports:
         with _pytest.raises(SystemExit) as exc:
             run(["front-check", "--catalog", "nonfront"])
         assert exc.value.code == 2
+
+
+def _exit_code(argv):
+    """main's return value, or the code of argparse's SystemExit."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _error_classes():
+    return sorted((cls for cls in vars(errors).values()
+                   if isinstance(cls, type)
+                   and issubclass(cls, errors.FrontalForgeError)),
+                  key=lambda cls: cls.__name__)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _error_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_error_class_decides_exit_code(self, cls, monkeypatch, capsys):
+        """Exit 3 for a DegenerateError, exit 2 for any other error of the
+        package, each as one `error:` line."""
+        try:
+            exc = cls("boom")
+        except TypeError:  # the errors that carry the point x and a value
+            exc = cls(np.array([0.5]), 1e-12)
+
+        def fail():
+            raise exc
+
+        monkeypatch.setattr(cli, "catalog_names", fail)
+        degenerate = issubclass(cls, errors.DegenerateError)
+        assert run(["catalog"]) == (EXIT_DEGENERATE if degenerate
+                                    else EXIT_USAGE)
+        err = capsys.readouterr().err
+        prefix = (f"error: numerical degeneracy [{cls.__name__}]: "
+                  if degenerate else "error: ")
+        assert err == f"{prefix}{exc}\n"
+
+    # inputs that once ended in a traceback, a warning or a wrong exit code
+    @pytest.mark.parametrize("argv, code", [
+        (["transform", "--catalog", "circle", "--kind", "pedal", "--pole",
+          "0,0", "--samples", "8", "--params", "{}"], EXIT_USAGE),
+        (["transform", "--catalog", "circle", "--kind", "pedal", "--pole",
+          "0,0", "--samples", "8", "--param", "R=[1]"], EXIT_USAGE),
+        (["transform", "--catalog", "sphere", "--kind", "pedal", "--pole",
+          "0,0,0", "--samples", "8", "--param", "polar_margin=nan"],
+         EXIT_USAGE),
+        (["ns", "--catalog", "circle", "--bbox=-1e308,1e308,-1e308,1e308",
+          "--resolution", "4", "--samples", "64"], EXIT_USAGE),
+        (["verify", "--suite", "thm1", "--catalog", "circle", "--poles",
+          "auto:99999999999999999999", "--samples", "8"], EXIT_DEGENERATE)],
+        ids=["params-json", "param-list", "param-nan-string",
+             "bbox-overflows", "auto-poles-huge"])
+    def test_edge_input_sweep(self, argv, code, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _exit_code(argv) == code
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "Traceback" not in err and "Warning" not in err
