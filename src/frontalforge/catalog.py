@@ -6,6 +6,7 @@ All evaluators are vectorized over parameter arrays of shape (k, n).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -317,6 +318,10 @@ def catalog(name: str, params: dict | None = None) -> Frontal:
     if name not in _BUILDERS:
         raise UnknownCatalogError(
             f"unknown catalog frontal {name!r}; known: {', '.join(catalog_names())}")
+    for key, value in (params or {}).items():
+        if not isinstance(value, numbers.Real):
+            raise CatalogParameterError(f"{name}: parameter {key!r} must be "
+                                        f"a real number, not {value!r}")
     try:
         return _BUILDERS[name](**(params or {}))
     except TypeError as exc:

@@ -160,8 +160,6 @@ def cmd_verify(args) -> int:
         if args.suite == "frontal-condition":
             raise UsageError("suite frontal-condition takes no pole")
         poles = _resolve_poles(args, F or catalog("square"), samples)
-        if len(poles) > 1 and args.suite in verify.ONE_POLE:
-            raise UsageError(f"suite {args.suite} takes one pole")
     report = verify.run_suite(args.suite, F=F, poles=poles, samples=samples)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.json:

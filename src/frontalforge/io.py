@@ -7,12 +7,12 @@ identical inputs yield byte-identical output.
 
 Every file is a `Table` written by `write_tables`, which streams one or more
 tables of the same row count to their open files chunk by chunk: for each
-chunk of _CHUNK_ROWS rows it formats each distinct column block once into
+chunk of _CHUNK_ROWS rows it formats each distinct float block once into
 byte cells, builds every table's rows of that chunk from those cells and its
-separators, and writes them before the next chunk.  Tables that hold the
-same block object (the t columns of a transform's CSV and its source's, the
-f columns of a CSV and an SVG) thus format it once, and no file's text is
-ever held whole.
+`Choice` blocks, and writes them before the next chunk.  Tables that hold
+the same block object (the t columns of a transform's CSV and its source's,
+the f columns of a CSV and an SVG) thus format it once, and no file's text
+is ever held whole.
 
 The cells come from one vectorised formatter, `_float_cells`, whose bytes
 are those of repr(float(v)), so the files are byte for byte those that
@@ -23,8 +23,9 @@ each character repr may write (sign, "0.000" prefix, 17 digits each with a
 '.' slot after it, "e+XXX") and a last one for the ',' that follows it, so
 that a table's text is the non-zero bytes of its rows of cells.  repr itself
 still writes, value by value, the subnormals, infinities and NaNs
-(`_repr_cells`); zeros go through the formatter.  Integer blocks have their
-own cells (`_int_cells`), with the bytes of repr(int(v)).
+(`_repr_cells`); zeros go through the formatter.  A `Choice` block takes its
+cells from a few fixed texts instead: the SVG's arc starts, the 0/1 and 0/255
+of the rasters.
 """
 from __future__ import annotations
 
@@ -42,29 +43,48 @@ _CHUNK_ROWS = 512
 
 
 class Table(NamedTuple):
-    """One output file: head, rows, tail.  Row i is the lead of row i, then
-    the cells of row i of the (k, c_i) blocks read side by side, each but
-    the last followed by ',', and the last by end.  A lead is (choices,
-    pick): a (m, w) uint8 array of zero-padded byte strings and the (k,)
-    index of each row's choice."""
+    """One output file: head, rows, tail.  Row i is the cells of row i of
+    the blocks read side by side, its last byte (the last cell's separator)
+    replaced by end.  A block is a (k, c) float array, each value a cell
+    followed by ',', or a Choice."""
 
     head: str
     blocks: list
     end: str = "\n"
     tail: str = ""
-    lead: tuple | None = None
+
+
+class Choice(NamedTuple):
+    """A block whose cell (i, j) is text pick[i, j] (or pick[i]) of texts,
+    an (m, w) uint8 table of texts right-aligned behind zero bytes: like a
+    float cell's ',', a text's closing separator is its cell's last byte."""
+
+    texts: np.ndarray
+    pick: np.ndarray
+
+
+def choice(texts, pick) -> Choice:
+    """The Choice of the ASCII strings texts by the indices pick."""
+    w = max(map(len, texts))
+    table = np.zeros((len(texts), w), np.uint8)
+    for row, text in zip(table, texts):
+        row[w - len(text):] = np.frombuffer(text.encode("ascii"), np.uint8)
+    return Choice(table, np.asarray(pick))
 
 
 def write_tables(sinks) -> None:
     """Write each (file, Table) pair of sinks; all tables have the same row
-    count.  A block shared by several tables is formatted once per chunk."""
-    k = sinks[0][1].blocks[0].shape[0]
-    blocks = {id(b): b for _, table in sinks for b in table.blocks}
+    count.  A float block shared by several tables is formatted once per
+    chunk."""
+    first = sinks[0][1].blocks[0]
+    k = (first.pick if isinstance(first, Choice) else first).shape[0]
+    floats = {id(b): b for _, table in sinks for b in table.blocks
+              if not isinstance(b, Choice)}
     for fh, table in sinks:
         fh.write(table.head)
     for start in range(0, k, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, k)
-        cells = _block_cells(blocks, start, stop)
+        cells = _block_cells(floats, start, stop)
         for fh, table in sinks:
             fh.write(_rows_text(table, cells, start, stop))
     for fh, table in sinks:
@@ -72,33 +92,30 @@ def write_tables(sinks) -> None:
 
 
 def _block_cells(blocks, start, stop) -> dict:
-    """{id: (stop - start, c_i w) cells of rows start:stop of each block,
-    a row's c_i cells side by side}.  The float blocks are formatted
+    """{id: (stop - start, c_i w) cells of rows start:stop of each float
+    block, a row's c_i cells side by side}.  The blocks are formatted
     together, and the byte slots that no value of theirs uses dropped."""
-    floats = {i: b for i, b in blocks.items() if b.dtype.kind not in "iu"}
-    cells = {i: _int_cells(b[start:stop].ravel()).reshape(stop - start, -1)
-             for i, b in blocks.items() if i not in floats}
-    if floats:
-        flat = _float_cells(np.concatenate(
-            [b[start:stop].ravel() for b in floats.values()]))
-        used = np.bitwise_or.reduce(flat.view(np.uint64), axis=0)
-        flat = flat.take(np.flatnonzero(used.view(np.uint8)), axis=1)
-        at = 0
-        for i, b in floats.items():
-            n = (stop - start) * b.shape[1]
-            cells[i] = flat[at:at + n].reshape(stop - start, -1)
-            at += n
+    if not blocks:
+        return {}
+    flat = _float_cells(np.concatenate(
+        [b[start:stop].ravel() for b in blocks.values()]))
+    used = np.bitwise_or.reduce(flat.view(np.uint64), axis=0)
+    flat = flat.take(np.flatnonzero(used.view(np.uint8)), axis=1)
+    cells, at = {}, 0
+    for i, b in blocks.items():
+        n = (stop - start) * b.shape[1]
+        cells[i] = flat[at:at + n].reshape(stop - start, -1)
+        at += n
     return cells
 
 
 def _rows_text(table: Table, cells: dict, start: int, stop: int) -> str:
     """The text of rows start:stop of table, from the chunk's cells."""
-    parts = [cells[id(b)] for b in table.blocks]
-    if table.lead is not None:
-        choices, pick = table.lead
-        parts.insert(0, choices.take(pick[start:stop], axis=0))
-    rows = np.concatenate(parts, axis=1)
-    rows[:, -1] = ord(table.end or "\0")  # the last cell's ','
+    rows = np.concatenate(
+        [b.texts.take(b.pick[start:stop], axis=0).reshape(stop - start, -1)
+         if isinstance(b, Choice) else cells[id(b)] for b in table.blocks],
+        axis=1)
+    rows[:, -1] = ord(table.end or "\0")  # the last cell's separator
     return rows[rows != 0].tobytes().decode("ascii")
 
 
@@ -107,12 +124,6 @@ def table_text(table: Table) -> str:
     buf = StringIO()
     write_tables([(buf, table)])
     return buf.getvalue()
-
-
-def float_texts(values) -> list[str]:
-    """repr(float(v)) for each of values, through the table formatter."""
-    cells = _float_cells(np.asarray(values, dtype=float).ravel())[:, :-1]
-    return [bytes(c[c != 0]).decode("ascii") for c in cells]
 
 
 # --- the formatter ---------------------------------------------------------
@@ -327,23 +338,6 @@ def _repr_cells(cells: np.ndarray, x: np.ndarray, rows: np.ndarray) -> None:
         cells[r, :len(text)] = np.frombuffer(text, np.uint8)
 
 
-def _int_cells(x: np.ndarray) -> np.ndarray:
-    """(N, 22) uint8 cells of the integers x: the bytes of repr(int(v)) in
-    the slots sign | 20 digits, zero elsewhere, then ','."""
-    neg = x < 0
-    u = x.astype(np.uint64)  # two's complement: -v wraps to 2^64 - v
-    quad = _quads(np.where(neg, np.uint64(0) - u, u), 5)
-    cells = np.empty((x.size, 22), np.uint8)
-    cells[:, 0] = neg * np.uint8(45)  # '-'
-    digits = cells[:, 1:21]
-    digits[:] = _tables()[1].take(quad, axis=0).reshape(-1, 20)
-    nonzero = digits != 48
-    nonzero[:, 19] = True  # 0 shows its last digit
-    digits[np.arange(20) < np.argmax(nonzero, axis=1)[:, None]] = 0
-    cells[:, 21] = ord(",")
-    return cells
-
-
 # --- the tables --------------------------------------------------------------
 
 def csv_table(sm: SampledMap) -> Table:
@@ -415,8 +409,8 @@ def svg_table(points: np.ndarray) -> Table:
     pad[pad <= 0.0] = 0.05 * diag
     x0, y0 = lo - pad
     w, h = span + 2 * pad
-    x0, y0, w, h, top, stroke = float_texts([x0, y0, w, h, 2 * y0 + h,
-                                             0.005 * diag])
+    x0, y0, w, h, top, stroke = table_text(Table("", [np.array(
+        [[x0, y0, w, h, 2 * y0 + h, 0.005 * diag]])], "")).split(",")
     head = "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -429,11 +423,8 @@ def svg_table(points: np.ndarray) -> Table:
     pick = np.zeros(points.shape[0], np.intp)
     pick[0] = 1
     pick[np.cumsum([arc.shape[0] for arc in _split_arcs(points)])[:-1]] = 2
-    choices = np.zeros((len(_LEADS), len(_LEADS[-1])), np.uint8)
-    for i, text in enumerate(_LEADS):
-        choices[i, :len(text)] = np.frombuffer(text.encode(), np.uint8)
-    return Table(head, [points], "", _CLOSE + "</g>\n</svg>\n",
-                 (choices, pick))
+    return Table(head, [choice(_LEADS, pick), points], "",
+                 _CLOSE + "</g>\n</svg>\n")
 
 
 def curve_to_svg(points: np.ndarray) -> str:

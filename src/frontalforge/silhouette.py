@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from .errors import UsageError
 from .frontal import Frontal
-from .io import Table, table_text
+from .io import Table, choice, table_text
 from .linalg import col_bounds
 
 DEFAULT_NS_TOL_FRAC = 1e-9
@@ -149,30 +149,31 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
     a = _kernels.support_offsets(fv, nv)[order]
     nu_x, nu_y = nv[order].T
     xmax = float(np.max(np.abs(xs)))
-    base = np.abs(a) + xmax * np.abs(nu_x) + (tol + np.finfo(float).tiny)
-
     unsure = np.zeros((ny, nx), dtype=bool)
-    for start in range(0, ny, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        y = ys[rows, None]
-        e = a - y * nu_y
-        slack = _BAND * (base + np.abs(y) * np.abs(nu_y))
-        w = slack[:, :k] / np.abs(nu_x[:k])
-        sure_in, sure_out = False, True
-        for sign, upper, lower in ((1.0, pos, neg), (-1.0, neg, pos)):
-            t = sign * tol
-            b = (e[:, :k] - t) / nu_x[:k]
-            c0 = sign * (e[:, k:] - t)
-            sure_in = sure_in | (
-                (xs > _highest(b[:, lower] + w[:, lower]))
-                & (xs < _lowest(b[:, upper] - w[:, upper]))
-                & np.all(c0 > slack[:, k:], axis=1)[:, None])
-            sure_out = sure_out & (
-                (xs < _highest(b[:, lower] - w[:, lower]))
-                | (xs > _lowest(b[:, upper] + w[:, upper]))
-                | np.any(c0 < -slack[:, k:], axis=1)[:, None])
-        raster.cells[rows] = sure_in
-        unsure[rows] = ~(sure_in | sure_out)
+    # bounds that overflow (boxes near 1e308) leave NaNs: cells undecided
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base = np.abs(a) + xmax * np.abs(nu_x) + (tol + np.finfo(float).tiny)
+        for start in range(0, ny, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            y = ys[rows, None]
+            e = a - y * nu_y
+            slack = _BAND * (base + np.abs(y) * np.abs(nu_y))
+            w = slack[:, :k] / np.abs(nu_x[:k])
+            sure_in, sure_out = False, True
+            for sign, upper, lower in ((1.0, pos, neg), (-1.0, neg, pos)):
+                t = sign * tol
+                b = (e[:, :k] - t) / nu_x[:k]
+                c0 = sign * (e[:, k:] - t)
+                sure_in = sure_in | (
+                    (xs > _highest(b[:, lower] + w[:, lower]))
+                    & (xs < _lowest(b[:, upper] - w[:, upper]))
+                    & np.all(c0 > slack[:, k:], axis=1)[:, None])
+                sure_out = sure_out & (
+                    (xs < _highest(b[:, lower] - w[:, lower]))
+                    | (xs > _lowest(b[:, upper] + w[:, upper]))
+                    | np.any(c0 < -slack[:, k:], axis=1)[:, None])
+            raster.cells[rows] = sure_in
+            unsure[rows] = ~(sure_in | sure_out)
 
     iy, ix = np.nonzero(unsure)
     poles = np.stack([xs[ix], ys[iy]], axis=-1)
@@ -182,13 +183,11 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
 
 
 def raster_to_pgm(raster: RasterGrid) -> str:
-    """Serialize to PGM (P2 ASCII): 255 = member, 0 = outside.  Rows are
-    written top-to-bottom (largest y first) so images render upright."""
+    """Serialize to PGM (P2 ASCII), a table of one Choice block: 255 =
+    member, 0 = outside, top row (largest y) first so images render upright."""
     nx, ny = raster.resolution
-    lines = ["P2", f"{nx} {ny}", "255"]
-    for iy in range(ny - 1, -1, -1):
-        lines.append(" ".join("255" if v else "0" for v in raster.cells[iy]))
-    return "\n".join(lines) + "\n"
+    return table_text(Table(f"P2\n{nx} {ny}\n255\n",
+                            [choice(("0 ", "255 "), raster.cells[::-1])]))
 
 
 def raster_to_csv(raster: RasterGrid) -> str:
@@ -197,5 +196,5 @@ def raster_to_csv(raster: RasterGrid) -> str:
     xs, ys = raster.centers()
     nx, ny = raster.resolution
     blocks = [np.tile(xs, ny)[:, None], np.repeat(ys, nx)[:, None],
-              raster.cells.astype(int).reshape(-1, 1)]
+              choice(("0,", "1,"), raster.cells.ravel())]
     return table_text(Table("x,y,member\n", blocks))

@@ -396,20 +396,25 @@ DEFAULT_SAMPLES = {"frontal-condition": 2048, "thm1": 1024, "prop1": 1024,
                    "thm2": 256, "thm3": 256, "thm4": 256,
                    "square-reconstruction": 4096}
 SUITES = tuple(DEFAULT_SAMPLES)
-# Suites that test a single pole; they take the first of the given poles.
+# Suites that test a single pole.
 ONE_POLE = ("thm2", "square-reconstruction")
 
 
 def run_suite(name: str, F: Frontal | None = None, poles=None,
               samples: int | None = None) -> dict:
-    """Dispatch a named suite.  poles: one per row, or None for N_POLES
-    sampled NS poles (thm2: one; square-reconstruction: SQUARE_POLE).
-    samples: DEFAULT_SAMPLES[name] when None."""
+    """Dispatch a named suite.  poles: one per row (one for ONE_POLE, None
+    for frontal-condition), or None for N_POLES sampled NS poles (thm2: one;
+    square-reconstruction: SQUARE_POLE).  samples: DEFAULT_SAMPLES[name]
+    when None."""
     if name not in DEFAULT_SAMPLES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = samples or DEFAULT_SAMPLES[name]
     if poles is not None:
+        if name == "frontal-condition":
+            raise UsageError(f"suite {name} takes no pole")
         poles = np.atleast_2d(np.asarray(poles, dtype=float))
+        if name in ONE_POLE and len(poles) > 1:
+            raise UsageError(f"suite {name} takes one pole")
     if name == "square-reconstruction":
         P = SQUARE_POLE if poles is None else poles[0]
         return suite_square_reconstruction(P, samples=samples)

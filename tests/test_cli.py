@@ -633,26 +633,32 @@ class TestExitCodes:
                   if degenerate else "error: ")
         assert err == f"{prefix}{exc}\n"
 
-    # inputs that once ended in a traceback, a warning or a wrong exit code
-    @pytest.mark.parametrize("argv, code", [
+    # inputs that once ended in a traceback, a warning or a wrong exit
+    # code; says: a text the error line must hold
+    @pytest.mark.parametrize("argv, code, says", [
         (["transform", "--catalog", "circle", "--kind", "pedal", "--pole",
-          "0,0", "--samples", "8", "--params", "{}"], EXIT_USAGE),
+          "0,0", "--samples", "8", "--params", "{}"], EXIT_USAGE, ""),
         (["transform", "--catalog", "circle", "--kind", "pedal", "--pole",
-          "0,0", "--samples", "8", "--param", "R=[1]"], EXIT_USAGE),
+          "0,0", "--samples", "8", "--param", "R=[1]"], EXIT_USAGE, "'R'"),
         (["transform", "--catalog", "sphere", "--kind", "pedal", "--pole",
           "0,0,0", "--samples", "8", "--param", "polar_margin=nan"],
-         EXIT_USAGE),
+         EXIT_USAGE, "'polar_margin'"),
         (["ns", "--catalog", "circle", "--bbox=-1e308,1e308,-1e308,1e308",
-          "--resolution", "4", "--samples", "64"], EXIT_USAGE),
+          "--resolution", "4", "--samples", "64"], EXIT_USAGE, ""),
         (["verify", "--suite", "thm1", "--catalog", "circle", "--poles",
-          "auto:99999999999999999999", "--samples", "8"], EXIT_DEGENERATE)],
+          "auto:99999999999999999999", "--samples", "8"], EXIT_DEGENERATE,
+         ""),
+        (["ns", "--catalog", "circle",
+          "--bbox=-0.2e308,0.2e308,-0.2e308,0.2e308", "--resolution", "4",
+          "--samples", "64"], EXIT_OK, "")],
         ids=["params-json", "param-list", "param-nan-string",
-             "bbox-overflows", "auto-poles-huge"])
-    def test_edge_input_sweep(self, argv, code, capsys):
+             "bbox-overflows", "auto-poles-huge", "bbox-near-overflow"])
+    def test_edge_input_sweep(self, argv, code, says, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert _exit_code(argv) == code
         assert caught == []
         err = capsys.readouterr().err
-        assert "error: " in err
+        assert ("error: " in err) == (code != EXIT_OK)
+        assert says in err
         assert "Traceback" not in err and "Warning" not in err

@@ -34,6 +34,15 @@ def _raster(bbox):
 @pytest.mark.parametrize("call, match", [
     (lambda: verify.run_suite("thm99", catalog("circle")), "unknown suite"),
     (lambda: verify.run_suite("thm1"), "needs a frontal"),
+    (lambda: verify.run_suite("thm2", catalog("circle"),
+                              poles=[[0.1, 0.2], [0.3, 0.1]]),
+     "suite thm2 takes one pole"),
+    (lambda: verify.run_suite("square-reconstruction",
+                              poles=[[0.3, -0.2], [0.1, 0.1]]),
+     "suite square-reconstruction takes one pole"),
+    (lambda: verify.run_suite("frontal-condition", catalog("circle"),
+                              poles=[[5, 5]]),
+     "suite frontal-condition takes no pole"),
     (lambda: verify.suite_square_reconstruction((0.3, -0.2), 7),
      "at least 8 samples"),
     (lambda: ns_raster(catalog("sphere"), (-2, 2, -2, 2), 4,
@@ -43,7 +52,8 @@ def _raster(bbox):
     (lambda: _raster((-1e308, 1e308, -2.0, 2.0)), "cell centre overflows"),
     (lambda: _raster((-2.0, 2.0, -0.8e308, 0.8e308)),
      "cell centre overflows")],
-    ids=["unknown-suite", "no-frontal", "square-7-samples", "ns-sphere",
+    ids=["unknown-suite", "no-frontal", "thm2-two-poles", "square-two-poles",
+         "frontal-condition-pole", "square-7-samples", "ns-sphere",
          "box-reversed", "box-flat", "box-width-overflows",
          "box-centre-overflows"])
 def test_rejected_argument_raises_usage_error(call, match):

@@ -8,10 +8,10 @@ from frontalforge.cli import main
 from frontalforge.frontal import SampledMap, sample
 import frontalforge.io as ffio
 from frontalforge.io import (_CHUNK_ROWS, Table, _lengths, _split_arcs,
-                             csv_table, curve_to_svg, float_texts,
+                             choice, csv_table, curve_to_svg,
                              sampled_map_to_csv, svg_table, table_text,
                              write_tables)
-from frontalforge.silhouette import RasterGrid, raster_to_csv
+from frontalforge.silhouette import RasterGrid, raster_to_csv, raster_to_pgm
 from frontalforge.transforms import TransformKind, orthotomic, transform
 from frontalforge.verify import grid_for
 
@@ -154,6 +154,14 @@ def _ref_raster_csv(raster):
         for ix in range(raster.resolution[0]):
             lines.append(f"{_ref_fmt(xs[ix])},{_ref_fmt(ys[iy])},"
                          f"{1 if raster.cells[iy, ix] else 0}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_pgm(raster):
+    nx, ny = raster.resolution
+    lines = ["P2", f"{nx} {ny}", "255"]
+    for iy in range(ny - 1, -1, -1):
+        lines.append(" ".join("255" if v else "0" for v in raster.cells[iy]))
     return "\n".join(lines) + "\n"
 
 
@@ -328,6 +336,36 @@ class TestByteOracle:
                             resolution=(nx, ny), cells=cells)
         _same(raster_to_csv(raster), _ref_raster_csv(raster))
 
+    # ny on both sides of the first chunk's edges, and two chunks plus one
+    @pytest.mark.parametrize("ny", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                    _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("fill", ["none", "all", "random"])
+    def test_pgm(self, ny, fill):
+        nx = 7
+        cells = {"none": np.zeros((ny, nx), bool),
+                 "all": np.ones((ny, nx), bool),
+                 "random": np.random.default_rng(ny).random((ny, nx)) < 0.5
+                 }[fill]
+        raster = RasterGrid(bbox=(-2.0, 2.0, -1.0, 3.0), resolution=(nx, ny),
+                            cells=cells)
+        _same(raster_to_pgm(raster), _ref_pgm(raster))
+
+    @pytest.mark.parametrize("k", _ROWS)
+    def test_choice_blocks(self, k):
+        """A Choice between float blocks, and one (of two columns) as the
+        last block, whose last text's ',' gives way to the line end."""
+        t = _table(k + 2, k, 3)
+        rng = np.random.default_rng(k)
+        words = ("no,", "maybe,", "yes,")
+        mid, last = rng.integers(0, 3, size=k), rng.integers(0, 3, size=(k, 2))
+        text = table_text(Table("h\n", [t[:, :2], choice(words, mid), t[:, 2:],
+                                        choice(words, last)], tail="t\n"))
+        ref = "".join(
+            f"{_ref_fmt(a)},{_ref_fmt(b)},{words[m]}{_ref_fmt(c)},"
+            f"{words[l0]}{words[l1][:-1]}\n"
+            for (a, b, c), m, (l0, l1) in zip(t, mid, last))
+        _same(text, "h\n" + ref + "t\n")
+
 
 def _formatter_floats():
     """About 2e5 doubles, both signs of each: zeros, subnormals, infinities
@@ -358,20 +396,6 @@ class TestFormatterOracle:
         assert 1.8e5 < x.size < 2.2e5
         text = table_text(Table("", [x[:, None]]))
         assert text.split("\n")[:-1] == list(map(repr, x.tolist()))
-
-    def test_ints(self):
-        rng = np.random.default_rng(7)
-        tens = 10 ** np.arange(19, dtype=np.int64)
-        x = np.concatenate([
-            [0, 1, -1, 2**63 - 1, -2**63, -2**63 + 1], tens, tens - 1,
-            -tens, 1 - tens, rng.integers(-1000, 1000, size=1000),
-            rng.integers(-2**63, 2**63 - 1, size=20000, dtype=np.int64)])
-        text = table_text(Table("", [x[:, None]]))
-        assert text.split("\n")[:-1] == list(map(repr, x.tolist()))
-
-    def test_float_texts(self):
-        x = np.array([0.1, -0.0, 1e-5, 1e16, 123.0, 5e-324, -np.inf])
-        assert float_texts(x) == list(map(repr, x.tolist()))
 
 
 def test_square_transform_needs_no_repr(monkeypatch, tmp_path):
