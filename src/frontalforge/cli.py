@@ -86,6 +86,8 @@ def _resolve_poles(args, F, samples: int) -> np.ndarray:
         if not k.isdecimal() or int(k) < 1:
             raise UsageError(f"bad --poles {args.poles!r}; expected auto:k "
                              "with k >= 1")
+        if int(k) > 1 and args.suite in verify.ONE_POLE:
+            raise UsageError(f"suite {args.suite} takes one pole")
         grid = verify.grid_for(F, samples, interior_margin=1e-3)
         return sample_poles(F, grid, int(k))
     return np.array([_parse_pole(p, F.ambient_dim)

@@ -10,7 +10,9 @@ d to keep one sign with margin above a scale-aware threshold.
 
 For fixed x, d is affine in P, so the sampled set is the union of two
 intersections of s open half-planes (d > tol at every sample, or d < -tol),
-and each raster row meets it in at most two intervals, found in O(s).
+and each raster row meets it in at most two intervals.  Their ends are
+extreme bounds over the samples, each affine in y; per block of rows, the
+samples whose bound cannot be extreme in any row are dropped first.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ from .io import Table, choice, table_text
 from .linalg import col_bounds
 
 DEFAULT_NS_TOL_FRAC = 1e-9
-# `ns_raster`'s error-band factor and rows per (rows, samples) block
+# `ns_raster`'s error-band factor, cull margin factor and rows per block
 _BAND = 8.0 * np.finfo(float).eps
+_CULL = 4.0
 _ROW_BLOCK = 32
 
 
@@ -97,12 +100,45 @@ def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
                     argmin_x=grid[i], tol=tol)
 
 
-def _lowest(v):
-    return np.min(v, axis=1, initial=np.inf)[:, None]
+def _row_minima(fv, nv, xmax, ys, tol):
+    """r[j, row, c]: the least v - w (j = 0) or v + w (j = 1) in the row over
+    the samples of class c = 3 i + g (sign (1, -1)[i]; nu_x > 0, < 0, else),
+    +inf if there are none; see `ns_raster`."""
+    key = np.stack([_kernels.support_offsets(fv, nv), *nv.T], axis=1)
+    bits = key.view(np.int64)  # a sample repeating the last adds nothing
+    key = key[np.r_[True, np.any(bits[1:] != bits[:-1], axis=1)]]
+    group = np.where(key[:, 1] > 0, 0, np.where(key[:, 1] < 0, 1, 2))
+    order = np.argsort(group, kind="stable")
+    (a, nu_x, nu_y), group = key[order].T, group[order]
+    m = np.tile(np.where(group == 2, 1.0, np.abs(nu_x)), 2)
+    base = np.tile(np.abs(a) + xmax * np.abs(nu_x)
+                   + (tol + np.finfo(float).tiny), 2)
+    a, nu_y = np.r_[a, -a], np.r_[nu_y, -nu_y]
+    cuts = np.searchsorted(np.r_[group, group + 3], np.arange(7))
+    classes = [c for c in range(6) if cuts[c] < cuts[c + 1]]
 
+    def lines(y, k):
+        return ((a[k] - y * nu_y[k] - tol) / m[k],
+                _BAND * (base[k] + np.abs(y) * np.abs(nu_y[k])) / m[k])
 
-def _highest(v):
-    return np.max(v, axis=1, initial=-np.inf)[:, None]
+    r = np.full((2, ys.size, 6), np.inf)
+    for start in range(0, ys.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        y = ys[rows, None]
+        v, w = lines(y[[0, -1]], slice(None))
+        near, far = v - _CULL * w, v + _CULL * w
+        kept = []
+        for c in classes:
+            k = slice(cuts[c], cuts[c + 1])
+            j = cuts[c] + np.argmin(np.max(far[:, k], axis=0))
+            d = near[:, k] - far[:, j, None]
+            kept.append(cuts[c] + np.flatnonzero(
+                ~np.all((d > 0) & (d < np.inf), axis=0)))
+        v, w = lines(y, np.concatenate(kept))
+        heads = np.cumsum([0] + [len(k) for k in kept[:-1]])
+        r[0, rows][:, classes] = np.minimum.reduceat(v - w, heads, axis=1)
+        r[1, rows][:, classes] = np.minimum.reduceat(v + w, heads, axis=1)
+    return r
 
 
 def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
@@ -112,18 +148,34 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
     bbox = (xmin, xmax, ymin, ymax); resolution = (nx, ny) or a single int.
     The cells are those of the dense sweep `_kernels.support_extrema` at the
     cell centers (dmin > tol or dmax < -tol), found row by row from
-    half-plane bounds.  In row y, for sign s, sample k admits x iff
-    c_k - x m_k > 0, c_k = s (a_k - y nu_k,y) - tol, m_k = s nu_k,x: an
-    upper bound c_k/m_k on x if m_k > 0, a lower one if m_k < 0, all or none
-    of the row if m_k = 0.  The sweep's rounding error in d_k is below
-    3u (|a_k| + |y nu_k,y| + |x nu_k,x|), and the computed bound is within
-    4u (|a_k| + |y nu_k,y| + tol)/|m_k| of the exact one (u = eps/2).  So
+    half-plane bounds.  For sign s, sample k admits (x, y) iff
+    s d_k - tol > 0, iff sigma_k x < v_k = (s (a_k - y nu_k,y) - tol)/m_k,
+    where m_k = |nu_k,x| and sigma_k = s sgn(nu_k,x) (m_k = 1, sigma_k = 0
+    if nu_k,x is 0 or NaN).  The sweep's rounding error in d_k is below
+    3u (|a_k| + |y nu_k,y| + |x nu_k,x|), and the computed v_k is within
+    4u (|a_k| + |y nu_k,y| + tol)/m_k of the exact one (u = eps/2).  So
     outside a band w_k = 8 eps (|a_k| + |y nu_k,y| + max|x| |nu_k,x| + tol
-    + tiny)/|m_k| about its bound (tiny, the least normal float, covers
-    underflow), sample k decides as the sweep does.  Cells left undecided
+    + tiny)/m_k about its bound (tiny, the least normal float, covers
+    underflow), sample k decides as the sweep does: per row and class
+    (s, sigma), cells with sigma x < min(v - w) are surely admitted, and
+    cells with sigma x > min(v + w) surely refused.  Cells left undecided
     by the bands (next to an interval end, or with NaN bounds) go to
     `_kernels.support_extrema`, so every cell equals the sweep's, whatever
     FMA use or summation order the BLAS picks.
+
+    The minima are taken per block of rows y0..y1 over the samples a cull
+    keeps: with j the sample of its class of least max(v_j + c w_j) at the
+    end rows (c = _CULL), sample k goes if v_k - c w_k > v_j + c w_j at both
+    end rows, all finite.  Then v_k - w_k >= v_j + w_j in every row of the
+    block, so neither minimum changes by a bit.  Proof: computed v and w are
+    monotone in y and |y|, so they stay finite between finite ends.  With V,
+    W the exact v, w and unit normals (m <= 1, so W >= 16u tiny):
+    |v - V| <= W/4, |w - W| <= W/7 (relative 4u, or 0.13 where 8 eps (...)
+    is subnormal), and the test rounds by at most u (|v| + tiny) <= W/15.
+    So at the end rows V_k - V_j > (6c/7 - 1/15 - 1/4)(W_k + W_j), and in
+    every row v_k - w_k - v_j - w_j >= g = V_k - V_j - (1/4 + 8/7)(W_k + W_j).
+    V is affine and W convex in y, so the concave g is at least its value at
+    an end row, which is positive once c > 2; c = 4 leaves room.
     """
     if F.ambient_dim != 2:
         raise UsageError("ns_raster requires ambient dimension 2")
@@ -141,41 +193,19 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
     scale = float(np.linalg.norm(hi - lo))
     tol = _ns_tol(scale, tol_frac)
 
-    # samples ordered nu_x > 0, nu_x < 0, then nu_x = 0 (or NaN)
-    group = np.where(nv[:, 0] > 0, 0, np.where(nv[:, 0] < 0, 1, 2))
-    order = np.argsort(group, kind="stable")
-    n_up, k = np.searchsorted(group[order], [1, 2])
-    pos, neg = slice(0, n_up), slice(n_up, k)
-    a = _kernels.support_offsets(fv, nv)[order]
-    nu_x, nu_y = nv[order].T
-    xmax = float(np.max(np.abs(xs)))
-    unsure = np.zeros((ny, nx), dtype=bool)
     # bounds that overflow (boxes near 1e308) leave NaNs: cells undecided
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        base = np.abs(a) + xmax * np.abs(nu_x) + (tol + np.finfo(float).tiny)
-        for start in range(0, ny, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            y = ys[rows, None]
-            e = a - y * nu_y
-            slack = _BAND * (base + np.abs(y) * np.abs(nu_y))
-            w = slack[:, :k] / np.abs(nu_x[:k])
-            sure_in, sure_out = False, True
-            for sign, upper, lower in ((1.0, pos, neg), (-1.0, neg, pos)):
-                t = sign * tol
-                b = (e[:, :k] - t) / nu_x[:k]
-                c0 = sign * (e[:, k:] - t)
-                sure_in = sure_in | (
-                    (xs > _highest(b[:, lower] + w[:, lower]))
-                    & (xs < _lowest(b[:, upper] - w[:, upper]))
-                    & np.all(c0 > slack[:, k:], axis=1)[:, None])
-                sure_out = sure_out & (
-                    (xs < _highest(b[:, lower] - w[:, lower]))
-                    | (xs > _lowest(b[:, upper] + w[:, upper]))
-                    | np.any(c0 < -slack[:, k:], axis=1)[:, None])
-            raster.cells[rows] = sure_in
-            unsure[rows] = ~(sure_in | sure_out)
-
-    iy, ix = np.nonzero(unsure)
+        r_in, r_out = _row_minima(fv, nv, float(np.max(np.abs(xs))), ys, tol)
+    # per sign, the classes of sigma = 1, -1, 0: the last admits the whole
+    # row if min(v - w) > 0, and refuses it if min(v + w) < 0
+    sure_in, sure_out = False, True
+    for up, down, flat in ((0, 1, 2), (4, 3, 5)):
+        x_hi = np.where(r_in[:, flat] > 0, r_in[:, up], -np.inf)[:, None]
+        x_lo = np.where(r_out[:, flat] < 0, np.inf, -r_out[:, down])[:, None]
+        sure_in = sure_in | ((xs > -r_in[:, down, None]) & (xs < x_hi))
+        sure_out = sure_out & ((xs < x_lo) | (xs > r_out[:, up, None]))
+    raster.cells[:] = sure_in
+    iy, ix = np.nonzero(~(sure_in | sure_out))
     poles = np.stack([xs[ix], ys[iy]], axis=-1)
     dmin, dmax = _kernels.support_extrema(fv, nv, poles)
     raster.cells[iy, ix] = (dmin > tol) | (dmax < -tol)

@@ -650,9 +650,12 @@ class TestExitCodes:
          ""),
         (["ns", "--catalog", "circle",
           "--bbox=-0.2e308,0.2e308,-0.2e308,0.2e308", "--resolution", "4",
-          "--samples", "64"], EXIT_OK, "")],
+          "--samples", "64"], EXIT_OK, ""),
+        (["verify", "--suite", "thm2", "--catalog", "circle", "--poles",
+          "auto:99999", "--samples", "32"], EXIT_USAGE, "takes one pole")],
         ids=["params-json", "param-list", "param-nan-string",
-             "bbox-overflows", "auto-poles-huge", "bbox-near-overflow"])
+             "bbox-overflows", "auto-poles-huge", "bbox-near-overflow",
+             "auto-poles-one-pole-suite"])
     def test_edge_input_sweep(self, argv, code, says, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontalforge import _kernels
+from frontalforge import _kernels, silhouette
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.frontal import Frontal, interval
-from frontalforge.silhouette import (DEFAULT_NS_TOL_FRAC, ns_membership,
-                                     ns_raster, raster_to_csv, raster_to_pgm)
+from frontalforge.errors import UsageError
+from frontalforge.linalg import col_bounds
+from frontalforge.silhouette import (_ROW_BLOCK, DEFAULT_NS_TOL_FRAC,
+                                     RasterGrid, ns_membership, ns_raster,
+                                     raster_to_csv, raster_to_pgm)
 from frontalforge.transforms import anti_orthotomic, sample_poles
 
 
@@ -250,6 +255,184 @@ class TestRasterMatchesDense:
         np.testing.assert_array_equal(
             ns_raster(F, bbox, res, g, tol_frac=tol_frac).cells,
             _dense_cells(F, bbox, res, g, tol_frac=tol_frac))
+
+
+# Boxes of the `raster` benchmark workload: its half-width for each curve,
+# and a centre shift within its range of +-0.25
+BENCH_BOXES = {"circle": (2.0, (0.11, -0.19)), "square": (3.0, (-0.23, 0.05)),
+               "circle-cubic": (2.0, (0.0, 0.25)), "cusp": (2.0, (-0.25, 0.0))}
+
+
+class TestRasterAcrossBlocks:
+    """Dense equivalence where the raster spans several row blocks."""
+
+    @pytest.mark.parametrize("ny", [_ROW_BLOCK, 2 * _ROW_BLOCK, 3 * _ROW_BLOCK,
+                                    _ROW_BLOCK - 1, _ROW_BLOCK + 1,
+                                    2 * _ROW_BLOCK - 1, 2 * _ROW_BLOCK + 1,
+                                    3 * _ROW_BLOCK + 1])
+    @pytest.mark.parametrize("name", PLANAR)
+    def test_block_edges(self, name, ny):
+        F = catalog(name)
+        g = _grid(F, 512)
+        rng = np.random.default_rng([ny, PLANAR.index(name)])
+        cx, cy = rng.uniform(-0.5, 0.5, 2)
+        hx, hy = rng.uniform(0.8, 2.5, 2)
+        bbox = (cx - hx, cx + hx, cy - hy, cy + hy)
+        for tol_frac in (0.0, DEFAULT_NS_TOL_FRAC):
+            np.testing.assert_array_equal(
+                ns_raster(F, bbox, (17, ny), g, tol_frac=tol_frac).cells,
+                _dense_cells(F, bbox, (17, ny), g, tol_frac))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_BOXES))
+    def test_benchmark_boxes(self, name):
+        F = catalog(name)
+        g = _grid(F, 4096)
+        half, (sx, sy) = BENCH_BOXES[name]
+        bbox = (sx - half, sx + half, sy - half, sy + half)
+        np.testing.assert_array_equal(
+            ns_raster(F, bbox, 256, g).cells,
+            _dense_cells(F, bbox, (256, 256), g))
+
+    @pytest.mark.parametrize("res", [(3, 3 * 33), (9, 3 * 33), (33, 3)])
+    def test_centres_on_unit_circle(self, res):
+        # with no margin, centres at (0, +-1) and (+-1, 0) sit exactly on a
+        # half-plane bound; with 99 rows, y = -1, 0 and 1 fall in three
+        # different row blocks
+        F = catalog("circle")
+        g = _grid(F, 1024)
+        bbox = (-1.5, 1.5, -1.5, 1.5)
+        raster = ns_raster(F, bbox, res, g, tol_frac=0.0)
+        xs, ys = raster.centers()
+        assert np.any(np.abs(np.abs(ys) - 1.0) < 1e-15)
+        np.testing.assert_array_equal(
+            raster.cells, _dense_cells(F, bbox, res, g, tol_frac=0.0))
+
+    @pytest.mark.parametrize("half", [1.3e306, 1e306, 1e300])
+    @pytest.mark.parametrize("name", ["circle", "square", "cusp"])
+    def test_boxes_near_overflow_are_silent(self, name, half):
+        F = catalog(name)
+        g = _grid(F, 256)
+        bbox = (-half, half, -half, half)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = ns_raster(F, bbox, (5, 2 * _ROW_BLOCK + 3), g).cells
+            np.testing.assert_array_equal(
+                cells, _dense_cells(F, bbox, (5, 2 * _ROW_BLOCK + 3), g))
+            with pytest.raises(UsageError):
+                ns_raster(F, (-1e308, 1e308, -1e308, 1e308), 4, g)
+
+
+def _unculled_bounds(fv, nv, xs, ys, tol):
+    """The row loop of `ns_raster` before it culled samples, over all rows at
+    once: per sign, max(b + w) and max(b - w) over the lower bounds,
+    min(b - w) and min(b + w) over the upper ones, and whether every
+    nu_x = 0 sample surely admits the row and some one surely refuses it."""
+    group = np.where(nv[:, 0] > 0, 0, np.where(nv[:, 0] < 0, 1, 2))
+    order = np.argsort(group, kind="stable")
+    n_up, k = np.searchsorted(group[order], [1, 2])
+    pos, neg = slice(0, n_up), slice(n_up, k)
+    a = _kernels.support_offsets(fv, nv)[order]
+    nu_x, nu_y = nv[order].T
+    xmax = float(np.max(np.abs(xs)))
+    y = ys[:, None]
+    out = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base = np.abs(a) + xmax * np.abs(nu_x) + (tol + np.finfo(float).tiny)
+        e = a - y * nu_y
+        slack = silhouette._BAND * (base + np.abs(y) * np.abs(nu_y))
+        w = slack[:, :k] / np.abs(nu_x[:k])
+        for sign, upper, lower in ((1.0, pos, neg), (-1.0, neg, pos)):
+            t = sign * tol
+            b = (e[:, :k] - t) / nu_x[:k]
+            c0 = sign * (e[:, k:] - t)
+            out.append({
+                "lower_in": np.max(b[:, lower] + w[:, lower], axis=1,
+                                   initial=-np.inf),
+                "upper_in": np.min(b[:, upper] - w[:, upper], axis=1,
+                                   initial=np.inf),
+                "lower_out": np.max(b[:, lower] - w[:, lower], axis=1,
+                                    initial=-np.inf),
+                "upper_out": np.min(b[:, upper] + w[:, upper], axis=1,
+                                    initial=np.inf),
+                "flat_in": np.all(c0 > slack[:, k:], axis=1),
+                "flat_out": np.any(c0 < -slack[:, k:], axis=1)})
+    return out
+
+
+def _same_bits(x, y):
+    nan = np.isnan(x)
+    np.testing.assert_array_equal(nan, np.isnan(y))
+    np.testing.assert_array_equal(x[~nan].view(np.int64),
+                                  y[~nan].view(np.int64))
+
+
+def _pencil(p):
+    """All tangent lines through the point p: a pencil of half-planes whose
+    bounds tie up to rounding in the row y = p[1], while their bands differ."""
+    def f(x):
+        return np.broadcast_to(np.asarray(p, dtype=float), (x.shape[0], 2))
+
+    def nu(x):
+        return np.stack([np.cos(x[:, 0]), np.sin(x[:, 0])], axis=-1)
+
+    return Frontal(domain=interval(0.0, 2.0 * np.pi, periodic=True), f=f,
+                   nu=nu, ambient_dim=2)
+
+
+# boxes where many bounds nearly tie: along the square's flat edges, around
+# the cusp's singular point, and pencils through the first or the last row
+# of a block (with rows at y = j / 64 exactly)
+ROWS_64THS = (-0.5 / 64, (3 * _ROW_BLOCK + 5 - 0.5) / 64)
+TIE_BOXES = [
+    (_pencil((0.3, _ROW_BLOCK / 64)), (-1.0, 1.0) + ROWS_64THS),
+    (_pencil((-0.7, (2 * _ROW_BLOCK - 1) / 64)), (-1.0, 1.0) + ROWS_64THS),
+    (_pencil((0.0, 0.0)), (-1.0, 1.0) + ROWS_64THS),
+]
+TIE_BOXES += [
+    ("square", (-0.9, 0.9, 1.0 - 1e-9, 1.0 + 1e-9)),
+    ("square", (1.0 - 1e-12, 1.0 + 1e-12, -0.9, 0.9)),
+    ("square", (-1.2, 1.2, -1.0 - 1e-3, -1.0 + 1e-3)),
+    ("square", (0.99, 1.01, 0.99, 1.01)),
+    ("square", (-3.0, 3.0, -3.0, 3.0)),
+    ("cusp", (-1e-6, 1e-6, -1e-6, 1e-6)),
+    ("cusp", (-0.1, 0.1, -0.1, 0.1)),
+    ("cusp", (-1e-3, 1.0, -1e-9, 1e-9)),
+    ("circle", (-1.5, 1.5, -1.5, 1.5)),
+    ("circle", (-8e305, 8e305, -8e305, 8e305)),
+    ("circle-cubic", (-2.0, 2.0, -2.0, 2.0)),
+] + [(name, (sx - h, sx + h, sy - h, sy + h))
+     for name, (h, (sx, sy)) in BENCH_BOXES.items()]
+
+
+class TestCulledMinima:
+    """`ns_raster`'s per-row bounds, taken over the samples its cull keeps,
+    against the unculled row loop: the same bits in every row."""
+
+    @pytest.mark.parametrize("tol_frac", [0.0, DEFAULT_NS_TOL_FRAC])
+    @pytest.mark.parametrize("samples", [512, 4096])
+    @pytest.mark.parametrize("name, bbox", TIE_BOXES,
+                             ids=[f"{n if isinstance(n, str) else 'pencil'}"
+                                  f"-{i}" for i, (n, _) in
+                                  enumerate(TIE_BOXES)])
+    def test_bit_identical(self, name, bbox, samples, tol_frac):
+        F = catalog(name) if isinstance(name, str) else name
+        fv, nv = F.eval_wrapped(F.domain.wrap(_grid(F, samples)))
+        lo, hi = col_bounds(fv)
+        tol = silhouette._ns_tol(float(np.linalg.norm(hi - lo)), tol_frac)
+        ny = 3 * _ROW_BLOCK + 5
+        xs, ys = RasterGrid(bbox, (64, ny), np.zeros((ny, 64), bool)).centers()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r_in, r_out = silhouette._row_minima(fv, nv, float(np.max(
+                np.abs(xs))), ys, tol)
+        for ref, (up, down, flat) in zip(_unculled_bounds(fv, nv, xs, ys,
+                                                          tol),
+                                         ((0, 1, 2), (4, 3, 5))):
+            _same_bits(ref["upper_in"], r_in[:, up])
+            _same_bits(ref["upper_out"], r_out[:, up])
+            _same_bits(ref["lower_in"], -r_in[:, down])
+            _same_bits(ref["lower_out"], -r_out[:, down])
+            np.testing.assert_array_equal(ref["flat_in"], r_in[:, flat] > 0)
+            np.testing.assert_array_equal(ref["flat_out"], r_out[:, flat] < 0)
 
 
 class TestSerialization:
