@@ -48,6 +48,16 @@ def _rows(x, n: int) -> np.ndarray:
     return x
 
 
+def _finite_rows(J, x):
+    """J (..., k, a, b) if finite, as an SVD needs; else NonFiniteSampleError
+    at the first of the k rows of x with a non-finite matrix."""
+    finite = np.isfinite(J).all(axis=(-2, -1)).reshape(-1, len(x)).all(0)
+    if not finite.all():
+        raise NonFiniteSampleError("non-finite Jacobian at x="
+                                   f"{x[np.argmin(finite)].tolist()!r}")
+    return J
+
+
 @dataclass(frozen=True)
 class CahnHoffmanReport:
     """Per-row results over k points; `formula` and `residual` are NaN on
@@ -76,7 +86,8 @@ def cahn_hoffman(G: Frontal, P, x,
     J nu~ = (I - nu~ nu~^T) Jg / gamma: the Moore-Penrose solution w of
     J nu~^T w = grad(gamma) with w orthogonal to nu~, i.e. the inverse
     transpose of J nu~ read on the tangent space.
-    The same singular values give |det J nu~| and the condition bound.
+    The same singular values give |det J nu~| and the condition bound.  A
+    row whose J nu~ is not finite raises NonFiniteSampleError.
     """
     x = _rows(x, G.param_dim)
     P = np.asarray(P, dtype=float)
@@ -85,7 +96,7 @@ def cahn_hoffman(G: Frontal, P, x,
     ftilde, nt, _, Jnt = negative_pedal(G, P).apply(xw, *jet)
     gamma = row_norm(g - P)
     grad = _grad(Jg, nt)
-    U, sv, Vt = np.linalg.svd(Jnt, full_matrices=False)
+    U, sv, Vt = np.linalg.svd(_finite_rows(Jnt, x), full_matrices=False)
     det = np.prod(sv, axis=1)
     singular = det <= jnu_tol
     smin = sv[:, -1]
@@ -209,11 +220,7 @@ def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
     _, _, Jf, Jn = jet
     _, _, Jft, Jnt = anti_orthotomic(F, P).apply(xw, *jet)
     S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
-    finite = np.isfinite(S).all(axis=(0, 2, 3))
-    if not finite.all():  # an SVD of them would not converge
-        raise NonFiniteSampleError("non-finite Jacobian at x="
-                                   f"{x[np.argmin(finite)].tolist()!r}")
-    sv = singular_values(S)
+    sv = singular_values(_finite_rows(S, x))
     ref = np.maximum(sv[..., :1], RANK_SCALE_FLOOR)
     ranks = np.sum(sv > tol * ref, axis=-1)
     full = ranks == F.param_dim

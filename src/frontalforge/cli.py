@@ -30,6 +30,7 @@ from .io import (csv_table, curve_to_svg, sampled_map_to_csv, svg_table,
                  write_tables)
 from .silhouette import (DEFAULT_NS_TOL_FRAC, ns_raster, raster_to_csv,
                          raster_to_pgm)
+# sample_poles stays bound for perfbench/tracer.py
 from .transforms import (DEFAULT_DEGENERACY_TOL, TransformKind, sample_poles,
                          transform)
 
@@ -77,21 +78,18 @@ def _parse_pole(text: str, m: int) -> np.ndarray:
     return P
 
 
-def _resolve_poles(args, F, samples: int) -> np.ndarray:
-    """--poles (auto:k, or poles separated by ';') or else --pole, as rows."""
+def _parse_poles(args, m: int):
+    """--poles (auto:k, as the count k, or poles separated by ';') or else
+    --pole, as rows; None when neither is given."""
     if not args.poles:
-        return _parse_pole(args.pole, F.ambient_dim)[None, :]
+        return _parse_pole(args.pole, m)[None, :] if args.pole else None
     if args.poles.startswith("auto:"):
         k = args.poles[5:]
         if not k.isdecimal() or int(k) < 1:
             raise UsageError(f"bad --poles {args.poles!r}; expected auto:k "
                              "with k >= 1")
-        if int(k) > 1 and args.suite in verify.ONE_POLE:
-            raise UsageError(f"suite {args.suite} takes one pole")
-        grid = verify.grid_for(F, samples, interior_margin=1e-3)
-        return sample_poles(F, grid, int(k))
-    return np.array([_parse_pole(p, F.ambient_dim)
-                     for p in args.poles.split(";")])
+        return int(k)
+    return np.array([_parse_pole(p, m) for p in args.poles.split(";")])
 
 
 def _open(path: str):
@@ -126,12 +124,10 @@ def cmd_transform(args) -> int:
     # F is evaluated once; the image is the transform applied to it
     source = sample(F, grid)
     x, fv, nv = source.params, source.values, source.gauss
-    # an overflow is no warning: SampledMap raises on the non-finite image
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.no_gauss:  # the forward kinds' image exists where d = 0
-            image = SampledMap(x, T.image(x, fv, nv))
-        else:
-            image = SampledMap(x, *T.apply(x, fv, nv))
+    if args.no_gauss:  # the forward kinds' image exists where d = 0
+        image = SampledMap(x, T.image(x, fv, nv))
+    else:
+        image = SampledMap(x, *T.apply(x, fv, nv))
     tables = []
     if args.out:
         tables.append((args.out, csv_table(image)))
@@ -151,18 +147,14 @@ def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; "
                          f"known: {', '.join(verify.SUITES)}")
-    samples = args.samples or verify.DEFAULT_SAMPLES[args.suite]
     if args.suite == "square-reconstruction":
         if args.catalog not in (None, "square"):
             raise UsageError("suite square-reconstruction runs on the square "
                              f"only, not --catalog {args.catalog!r}")
     F = None if args.suite == "square-reconstruction" else _load_frontal(args)
-    poles = None
-    if args.pole or args.poles:
-        if args.suite == "frontal-condition":
-            raise UsageError("suite frontal-condition takes no pole")
-        poles = _resolve_poles(args, F or catalog("square"), samples)
-    report = verify.run_suite(args.suite, F=F, poles=poles, samples=samples)
+    poles = _parse_poles(args, (F or catalog("square")).ambient_dim)
+    report = verify.run_suite(args.suite, F=F, poles=poles,
+                              samples=args.samples)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.json:
         _write(args.json, text + "\n")

@@ -31,6 +31,8 @@ POLE_SAMPLER_SEED = 0xF20F7A1
 POLE_MAX_TRIES = 20000  # candidates sample_poles draws before giving up
 POLE_MARGIN_FRAC = 1e-3  # sampled poles' support margin / image scale
 POLE_SCREEN_ROWS = 256  # grid rows that screen each candidate pole
+# apply and image never warn: a non-finite value is reported where checked
+_quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 class TransformKind(enum.Enum):
@@ -118,6 +120,7 @@ def transform(kind: TransformKind, F: Frontal, P,
     P = np.asarray(P, dtype=float)
 
     if inverse:
+        @_quiet
         def apply(x, fv, nv, *J, gauss_jacobian=True):
             u = fv - P
             d = _dot(u, nv)
@@ -148,6 +151,7 @@ def transform(kind: TransformKind, F: Frontal, P,
         def foot(d, nv):  # lambda times the foot of P on each tangent plane
             return lam * d[:, None] * nv + P
 
+        @_quiet
         def apply(x, fv, nv, *J, gauss_jacobian=True):
             u = fv - P
             d = _dot(u, nv)
@@ -172,6 +176,7 @@ def transform(kind: TransformKind, F: Frontal, P,
             Jfoot *= lam
             return ft, nt, Jfoot, Jnt
 
+        @_quiet
         def image(x, fv, nv):
             # the image exists where the Gauss map degenerates (d = 0)
             return foot(_dot(fv - P, nv), nv)

@@ -54,12 +54,12 @@ SQUARE_MIN_SAMPLES = 8  # one sample on each segment of the square
 
 def _pole_grid(F: Frontal, samples: int, poles):
     """The wrapped grid of a pole suite, F's order-1 jet on it, and the
-    poles: the given ones as a (k, m) array, or N_POLES sampled NS poles,
-    which the sampler finds from that jet."""
+    poles: the given rows as a (k, m) array, or a count (N_POLES for None)
+    of NS poles, which the sampler finds from that jet."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
     jet = F.eval_wrapped(grid, 1)
-    if poles is None:
-        return grid, jet, sample_poles(F, grid, N_POLES, values=jet)
+    if np.ndim(poles) == 0:  # None or a count
+        return grid, jet, sample_poles(F, grid, poles or N_POLES, values=jet)
     return grid, jet, np.atleast_2d(np.asarray(poles, dtype=float))
 
 
@@ -403,30 +403,32 @@ ONE_POLE = ("thm2", "square-reconstruction")
 def run_suite(name: str, F: Frontal | None = None, poles=None,
               samples: int | None = None) -> dict:
     """Dispatch a named suite.  poles: one per row (one for ONE_POLE, None
-    for frontal-condition), or None for N_POLES sampled NS poles (thm2: one;
-    square-reconstruction: SQUARE_POLE).  samples: DEFAULT_SAMPLES[name]
-    when None."""
+    for frontal-condition), a count k of NS poles to sample (the CLI's
+    --poles auto:k), or None for N_POLES (thm2: one; square-reconstruction:
+    SQUARE_POLE).  Each rule on poles is checked here, before any pole is
+    drawn.  samples: DEFAULT_SAMPLES[name] when None."""
     if name not in DEFAULT_SAMPLES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = samples or DEFAULT_SAMPLES[name]
-    if poles is not None:
-        if name == "frontal-condition":
-            raise UsageError(f"suite {name} takes no pole")
+    given = np.ndim(poles) > 0  # one pole per row, not a count or None
+    if given:
         poles = np.atleast_2d(np.asarray(poles, dtype=float))
-        if name in ONE_POLE and len(poles) > 1:
-            raise UsageError(f"suite {name} takes one pole")
+    if poles is not None and name == "frontal-condition":
+        raise UsageError(f"suite {name} takes no pole")
+    if name in ONE_POLE and (len(poles) if given else poles or 1) > 1:
+        raise UsageError(f"suite {name} takes one pole")
     if name == "square-reconstruction":
-        P = SQUARE_POLE if poles is None else poles[0]
-        return suite_square_reconstruction(P, samples=samples)
+        if not given:  # a count of 1 draws the pole; None is SQUARE_POLE
+            poles = (_pole_grid(catalog("square"), samples, 1)[2] if poles
+                     else [SQUARE_POLE])
+        return suite_square_reconstruction(poles[0], samples=samples)
     if F is None:
         raise UsageError(f"suite {name!r} needs a frontal")
     if name == "frontal-condition":
         return suite_frontal_condition(F, samples=samples)
     if name == "thm2":
-        if poles is None:
-            grid = grid_for(F, samples, interior_margin=1e-3)
-            poles = sample_poles(F, grid, 1)
-        return suite_thm2(F, poles[0], samples=samples)
+        P = poles[0] if given else _pole_grid(F, samples, 1)[2][0]
+        return suite_thm2(F, P, samples=samples)
     # looked up at call time, so a wrapped suite_* is the one that runs
     suite = globals()["suite_" + name]
     return suite(F, samples=samples, poles=poles)

@@ -392,12 +392,16 @@ class TestVerify:
             assert code == EXIT_OK
             assert json.loads(capsys.readouterr().out)["poles"] == poles
 
-    def test_auto_poles_match_suite_sampler(self, capsys):
+    def test_auto_poles_match_suite_sampler(self, monkeypatch, capsys):
         from frontalforge import verify
-        from frontalforge.catalog import catalog
 
+        rows = Counter()
+        monkeypatch.setattr(cli, "catalog", lambda name, params=None:
+                            _counting(catalog(name, params), rows))
         assert run(["verify", "--suite", "thm1", "--catalog", "cusp",
                     "--poles", "auto:2", "--samples", "128"]) == EXIT_OK
+        # the suite's one evaluation of F on its grid feeds the sampler
+        assert rows == {"f": 128, "nu": 128}
         auto = json.loads(capsys.readouterr().out)["poles"]
         # the sampler accepts candidates in order, so the first two of the
         # suite's N_POLES are the two that auto:2 draws
@@ -449,12 +453,12 @@ class TestVerify:
                                       ["--poles", "0.1,0.2;0.3,0.1"],
                                       ["--poles", "auto:2"]])
     def test_poleless_suite_rejects_poles(self, argv, monkeypatch, capsys):
-        from frontalforge import cli
+        from frontalforge import verify
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("poles sampled for a suite without poles")
 
-        monkeypatch.setattr(cli, "sample_poles", no_sampling)
+        monkeypatch.setattr(verify, "sample_poles", no_sampling)
         code = run(["verify", "--suite", "frontal-condition", "--catalog",
                     "circle", "--samples", "32"] + argv)
         assert code == EXIT_USAGE
@@ -652,10 +656,29 @@ class TestExitCodes:
           "--bbox=-0.2e308,0.2e308,-0.2e308,0.2e308", "--resolution", "4",
           "--samples", "64"], EXIT_OK, ""),
         (["verify", "--suite", "thm2", "--catalog", "circle", "--poles",
-          "auto:99999", "--samples", "32"], EXIT_USAGE, "takes one pole")],
+          "auto:99999", "--samples", "32"], EXIT_USAGE, "takes one pole"),
+        # a circle of radius 1e-300 or 1e150: exit 3 for now, where a
+        # normalization of scale (ROADMAP item 4) will make each exit 0
+        (["transform", "--catalog", "circle", "--param", "R=1e-300",
+          "--kind", "anti-orthotomic", "--pole", "0,0", "--samples", "16"],
+         EXIT_DEGENERATE, "NonFiniteSampleError"),
+        (["front-check", "--catalog", "circle", "--param", "R=1e-300",
+          "--pole", "0,0", "--samples", "16"], EXIT_DEGENERATE,
+         "NonFiniteSampleError"),
+        (["verify", "--suite", "thm4", "--catalog", "circle", "--param",
+          "R=1e150", "--samples", "64"], EXIT_DEGENERATE,
+         "NonFiniteSampleError"),
+        (["cahn-hoffman", "--catalog", "circle", "--param", "R=1e-300",
+          "--pole", "0,0", "--samples", "16"], EXIT_DEGENERATE,
+         "NonFiniteSampleError"),
+        (["verify", "--suite", "thm2", "--catalog", "circle", "--param",
+          "R=1e-300", "--pole", "0,0", "--samples", "16"], EXIT_DEGENERATE,
+         "NonFiniteSampleError")],
         ids=["params-json", "param-list", "param-nan-string",
              "bbox-overflows", "auto-poles-huge", "bbox-near-overflow",
-             "auto-poles-one-pole-suite"])
+             "auto-poles-one-pole-suite", "tiny-circle-transform",
+             "tiny-circle-front-check", "huge-circle-thm4",
+             "tiny-circle-cahn-hoffman", "tiny-circle-thm2"])
     def test_edge_input_sweep(self, argv, code, says, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -15,7 +15,7 @@ SRC = Path(frontalforge.__file__).parent
 # the module's namespace, so they must be bound there.
 TRACER_PATCHED = {("analysis", "_fd_jacobian"), ("analysis", "jacobian_f"),
                   ("analysis", "jacobian_nu"), ("cli", "curve_to_svg"),
-                  ("cli", "sampled_map_to_csv"),
+                  ("cli", "sample_poles"), ("cli", "sampled_map_to_csv"),
                   ("verify", "negative_pedal")}
 
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")

@@ -17,7 +17,7 @@ from frontalforge import verify
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
 from frontalforge.errors import (GaussDegenerateError, NonFiniteSampleError,
-                                 PoleOnSilhouetteError)
+                                 PoleOnSilhouetteError, UsageError)
 from frontalforge.frontal import ParamDomain, tangency_residuals
 from frontalforge.transforms import anti_orthotomic, orthotomic, sample_poles
 
@@ -148,23 +148,63 @@ def _counting(F, calls):
                                                  "jac_nu")})
 
 
-@pytest.mark.parametrize("poles", [None, "sampled"])
+@pytest.mark.parametrize("poles", [None, "sampled", 3])
 @pytest.mark.parametrize("suite", [*LAZY, "thm3", "thm4"])
 @pytest.mark.parametrize("name", catalog_names())
 def test_one_order_one_evaluation_per_suite(name, suite, poles):
-    """Each evaluator of F runs on the grid once, whatever the pole count:
-    the sampler, every transform and analysis call, and thm1's round trips
+    """Each evaluator of F runs on the grid once, whatever the pole count
+    and whether the poles are given, counted or left to the suite: the
+    sampler, every transform and analysis call, and thm1's round trips
     read that one jet."""
     calls = Counter()
     F = _counting(catalog(name), calls)
     grid = verify.grid_for(F, SAMPLES, interior_margin=1e-3)
-    if poles:
+    if poles == "sampled":
         poles = sample_poles(catalog(name), grid, 3)
     calls.clear()
     rep = verify.run_suite(suite, F, poles=poles, samples=SAMPLES)
     assert len(rep["poles"]) == (5 if poles is None else 3)
     k = grid.shape[0]
     assert calls == {"f": k, "nu": k, "jac_f": k, "jac_nu": k}
+
+
+@pytest.mark.parametrize("suite", ["thm1", "prop1", "thm3", "thm4"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_pole_count_draws_the_first_default_poles(name, suite):
+    """poles=k samples the first k of the N_POLES poles drawn without
+    poles: one sampler, whose generator accepts candidates in order."""
+    F = catalog(name)
+    default = verify.run_suite(suite, F, samples=SAMPLES)["poles"]
+    for k in (1, 2, verify.N_POLES):
+        rep = verify.run_suite(suite, F, poles=k, samples=SAMPLES)
+        assert rep["poles"] == default[:k]
+
+
+@pytest.mark.parametrize("name, poles, match", [
+    ("thm2", 2, "suite thm2 takes one pole"),
+    ("thm2", [[0.1, 0.2], [0.3, 0.1]], "suite thm2 takes one pole"),
+    ("square-reconstruction", 2, "suite square-reconstruction takes one"),
+    ("frontal-condition", 1, "suite frontal-condition takes no pole"),
+    ("frontal-condition", [[5, 5]], "suite frontal-condition takes no")])
+def test_pole_rules_fail_before_any_pole_is_drawn(name, poles, match,
+                                                  monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a pole was drawn")
+
+    monkeypatch.setattr(verify, "sample_poles", no_sampling)
+    with pytest.raises(UsageError, match=match):
+        verify.run_suite(name, catalog("circle"), poles=poles, samples=32)
+
+
+@pytest.mark.parametrize("name", ["thm2", "square-reconstruction"])
+def test_one_pole_suite_draws_the_first_sampled_pole(name, monkeypatch):
+    """A one-pole suite given the count 1, and thm2 given no pole, draws
+    its pole from the pole suites' grid, as thm1 draws its first."""
+    F = catalog("circle" if name == "thm2" else "square")
+    want = verify.run_suite("thm1", F, samples=SAMPLES)["poles"][0]
+    for poles in (1, None) if name == "thm2" else (1,):
+        rep = verify.run_suite(name, F, poles=poles, samples=SAMPLES)
+        assert rep["pole"] == want
 
 
 # sha256 of `frontalforge verify --suite S --catalog C --samples 4096
