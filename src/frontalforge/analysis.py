@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteSampleError
 from .frontal import Frontal
-from .linalg import (RANK_SCALE_FLOOR, numeric_rank, row_norm,
+from .linalg import (RANK_SCALE_FLOOR, finite_rows, numeric_rank, row_norm,
                      singular_values)
 from .transforms import _dot, _grad, anti_orthotomic, negative_pedal
 
@@ -48,16 +47,6 @@ def _rows(x, n: int) -> np.ndarray:
     return x
 
 
-def _finite_rows(J, x):
-    """J (..., k, a, b) if finite, as an SVD needs; else NonFiniteSampleError
-    at the first of the k rows of x with a non-finite matrix."""
-    finite = np.isfinite(J).all(axis=(-2, -1)).reshape(-1, len(x)).all(0)
-    if not finite.all():
-        raise NonFiniteSampleError("non-finite Jacobian at x="
-                                   f"{x[np.argmin(finite)].tolist()!r}")
-    return J
-
-
 @dataclass(frozen=True)
 class CahnHoffmanReport:
     """Per-row results over k points; `formula` and `residual` are NaN on
@@ -75,8 +64,8 @@ class CahnHoffmanReport:
     singular: np.ndarray         # (k,) det_jnu <= jnu_tol
 
 
-def cahn_hoffman(G: Frontal, P, x,
-                 jnu_tol: float = DEFAULT_JNU_TOL) -> CahnHoffmanReport:
+def cahn_hoffman(G: Frontal, P, x, jnu_tol: float = DEFAULT_JNU_TOL,
+                 jet: tuple | None = None) -> CahnHoffmanReport:
     """Compare the two computations of the negative-pedal offset f~ - g.
 
     `direct` comes from the negative pedal applied to G's one order-1 jet
@@ -87,16 +76,18 @@ def cahn_hoffman(G: Frontal, P, x,
     J nu~^T w = grad(gamma) with w orthogonal to nu~, i.e. the inverse
     transpose of J nu~ read on the tangent space.
     The same singular values give |det J nu~| and the condition bound.  A
-    row whose J nu~ is not finite raises NonFiniteSampleError.
+    row whose J nu~ is not finite raises NonFiniteSampleError.  jet, when
+    given, is G's order-1 jet at the wrapped x (as in opening_residual).
     """
     x = _rows(x, G.param_dim)
     P = np.asarray(P, dtype=float)
     xw = G.domain.wrap(x)
-    g, _, Jg, _ = jet = G.eval_wrapped(xw, 1)
+    g, _, Jg, _ = jet = G.eval_wrapped(xw, 1) if jet is None else jet
     ftilde, nt, _, Jnt = negative_pedal(G, P).apply(xw, *jet)
     gamma = row_norm(g - P)
     grad = _grad(Jg, nt)
-    U, sv, Vt = np.linalg.svd(_finite_rows(Jnt, x), full_matrices=False)
+    finite_rows(x, Jnt)
+    U, sv, Vt = np.linalg.svd(Jnt, full_matrices=False)
     det = np.prod(sv, axis=1)
     singular = det <= jnu_tol
     smin = sv[:, -1]
@@ -220,7 +211,8 @@ def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
     _, _, Jf, Jn = jet
     _, _, Jft, Jnt = anti_orthotomic(F, P).apply(xw, *jet)
     S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
-    sv = singular_values(_finite_rows(S, x))
+    finite_rows(x, *S)
+    sv = singular_values(S)
     ref = np.maximum(sv[..., :1], RANK_SCALE_FLOOR)
     ranks = np.sum(sv > tol * ref, axis=-1)
     full = ranks == F.param_dim

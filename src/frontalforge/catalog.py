@@ -101,9 +101,10 @@ def _circle(R: float = 1.0) -> Frontal:
 
 
 def _circle_cubic(c: float = 1.2) -> Frontal:
-    if not (math.isfinite(c) and c > 0.0):
-        raise CatalogParameterError(
-            "circle-cubic: c must be finite and positive")
+    # float(c): the cube of a large JSON integer would not overflow
+    if not (c > 0.0 and math.isfinite(float(c) * c * c)):
+        raise CatalogParameterError("circle-cubic: parameter 'c' must be "
+                                    "finite and positive, and its cube finite")
 
     def f(x):
         t3 = _cube(x[:, 0])

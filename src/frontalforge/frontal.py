@@ -13,8 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteSampleError
-from .linalg import row_norm
+from .errors import DomainError
+from .linalg import finite_rows, row_norm
 
 FD_STEP = 1e-5       # central-difference step of frontals without a jac
 FRONTAL_TOL = 1e-6   # max |df . nu| that check_frontal passes
@@ -174,9 +174,8 @@ class SampledMap:
             raise ValueError("params/values length mismatch")
         if self.gauss is not None and self.gauss.shape != self.values.shape:
             raise ValueError("gauss shape mismatch")
-        for a in (self.params, self.values, self.gauss):
-            if a is not None and not np.all(np.isfinite(a)):
-                raise NonFiniteSampleError("non-finite entries in sampled map")
+        finite_rows(self.params, *(a for a in (self.params, self.values,
+                                               self.gauss) if a is not None))
 
 
 def sample(F: Frontal, x: np.ndarray) -> SampledMap:

@@ -1,5 +1,5 @@
-"""Small dense linear algebra helpers: row norms, column bounds, singular
-values and tolerance-based rank estimation.
+"""Small dense linear algebra helpers: row norms, column bounds, a row
+finiteness check, singular values and tolerance-based rank estimation.
 
 Everything here works on plain numpy arrays in low ambient dimension
 (m = n+1, typically 2 or 3); nothing is tuned for large matrices.
@@ -7,6 +7,8 @@ Everything here works on plain numpy arrays in low ambient dimension
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import NonFiniteSampleError
 
 RANK_SCALE_FLOOR = 1.0  # keeps noise on degenerate points from reading as rank
 
@@ -30,6 +32,16 @@ def col_bounds(a: np.ndarray) -> tuple:
     of the time of their strided reduction when k is large and m small."""
     return (np.array([c.min() for c in a.T]),
             np.array([c.max() for c in a.T]))
+
+
+def finite_rows(x: np.ndarray, *arrays) -> None:
+    """NonFiniteSampleError at the first row of x where one of the arrays,
+    each with a row per row of x, is not finite."""
+    bad = [np.argmin(ok) // (ok.size // len(x))  # the first False's row
+           for ok in map(np.isfinite, arrays) if not ok.all()]
+    if bad:
+        raise NonFiniteSampleError(
+            f"non-finite sample at x={x[min(bad)].tolist()!r}")
 
 
 def numeric_rank(M: np.ndarray, tol: float):

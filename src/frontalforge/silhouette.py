@@ -12,7 +12,8 @@ For fixed x, d is affine in P, so the sampled set is the union of two
 intersections of s open half-planes (d > tol at every sample, or d < -tol),
 and each raster row meets it in at most two intervals.  Their ends are
 extreme bounds over the samples, each affine in y; per block of rows, the
-samples whose bound cannot be extreme in any row are dropped first.
+samples whose bound cannot be extreme in any row are dropped first.  A
+sample of f or nu that is not finite raises NonFiniteSampleError.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from . import _kernels
 from .errors import UsageError
 from .frontal import Frontal
 from .io import Table, choice, table_text
-from .linalg import col_bounds
+from .linalg import col_bounds, finite_rows
 
 DEFAULT_NS_TOL_FRAC = 1e-9
 # `ns_raster`'s error-band factor, cull margin factor and rows per block
@@ -90,6 +91,7 @@ def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
         raise ValueError("empty grid")
     P = np.asarray(P, dtype=float)
     fv, nv = F.eval_wrapped(grid)
+    finite_rows(grid, fv, nv)
     d = np.einsum("km,km->k", fv - P, nv)
     lo, hi = col_bounds(fv)
     scale = float(np.linalg.norm(hi - lo))
@@ -189,6 +191,7 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
 
     grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
     fv, nv = F.eval_wrapped(grid)
+    finite_rows(grid, fv, nv)
     lo, hi = col_bounds(fv)
     scale = float(np.linalg.norm(hi - lo))
     tol = _ns_tol(scale, tol_frac)

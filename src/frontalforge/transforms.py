@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (EmptyNSSetError, GaussDegenerateError,
                      PoleOnSilhouetteError)
 from .frontal import Frontal
-from .linalg import col_bounds, row_norm
+from .linalg import col_bounds, finite_rows, row_norm
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
@@ -236,8 +236,8 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     even when the sampled margin is large.  Fewer than `count` poles
     accepted in POLE_MAX_TRIES candidates, drawn from a generator seeded
     with POLE_SAMPLER_SEED, raise EmptyNSSetError, as does a box too large
-    to draw from.  values, when given, is (f, nu) of F on the grid, which
-    is then not evaluated again.
+    to draw from; a non-finite f or nu raises NonFiniteSampleError.  values,
+    when given, is (f, nu) of F on the grid, which is not evaluated again.
 
     Each candidate is first screened on about POLE_SCREEN_ROWS grid rows
     (see _screen_stride).  A subset's min is >= the full min and its max
@@ -249,6 +249,7 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
         grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
         values = F.eval_wrapped(grid)
     fv, nv = values[:2]
+    finite_rows(grid, fv, nv)
     lo, hi = col_bounds(fv)
     with np.errstate(over="ignore", invalid="ignore"):
         diag = float(np.linalg.norm(hi - lo))

@@ -52,12 +52,12 @@ SQUARE_POLE = (0.3, -0.2)  # square-reconstruction's pole when given none
 SQUARE_MIN_SAMPLES = 8  # one sample on each segment of the square
 
 
-def _pole_grid(F: Frontal, samples: int, poles):
-    """The wrapped grid of a pole suite, F's order-1 jet on it, and the
-    poles: the given rows as a (k, m) array, or a count (N_POLES for None)
-    of NS poles, which the sampler finds from that jet."""
+def _pole_grid(F: Frontal, samples: int, poles, order: int = 1):
+    """The wrapped grid of a pole suite, F's jet of that order on it, and
+    the poles: the given rows as a (k, m) array, or a count (N_POLES for
+    None) of NS poles, which the sampler finds from that jet."""
     grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    jet = F.eval_wrapped(grid, 1)
+    jet = F.eval_wrapped(grid, order)
     if np.ndim(poles) == 0:  # None or a count
         return grid, jet, sample_poles(F, grid, poles or N_POLES, values=jet)
     return grid, jet, np.atleast_2d(np.asarray(poles, dtype=float))
@@ -233,13 +233,14 @@ def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
     }
 
 
-def suite_thm2(G: Frontal, P, samples: int) -> dict:
-    """The vector formula f~ - g = ((J nu~)^-1)^t grad(gamma) (+ nothing
+def suite_thm2(F: Frontal, samples: int, poles=None) -> dict:
+    """The vector formula f~ - f = ((J nu~)^-1)^t grad(gamma) (+ nothing
     along nu~) against the direct negative-pedal computation, plus the
-    singular-gamma corollary in both directions.  Points skipped by
-    THM2_DET_MIN or THM2_COND_MAX are counted."""
-    grid = grid_for(G, samples, interior_margin=2e-4)
-    rep = cahn_hoffman(G, P, grid, jnu_tol=THM2_DET_MIN)
+    singular-gamma corollary in both directions, at one pole.  Points
+    skipped by THM2_DET_MIN or THM2_COND_MAX are counted.  F's one order-1
+    jet on the grid feeds the pole sampler and cahn_hoffman."""
+    grid, jet, poles = _pole_grid(F, samples, 1 if poles is None else poles)
+    rep = cahn_hoffman(F, poles[0], grid, jnu_tol=THM2_DET_MIN, jet=jet)
     capped = ~rep.singular & (rep.jnu_inv_norm > THM2_COND_MAX)
     ok = ~rep.singular & ~capped
     dn = row_norm(rep.direct[ok])
@@ -252,8 +253,8 @@ def suite_thm2(G: Frontal, P, samples: int) -> dict:
     tested = int(ok.sum())
     return {
         "suite": "thm2",
-        "frontal": G.name,
-        "pole": np.asarray(P, dtype=float).tolist(),
+        "frontal": F.name,
+        "pole": poles[0].tolist(),
         "points_tested": tested,
         "points_skipped": {"singular_gauss_map": int(rep.singular.sum()),
                            "condition_cap": int(capped.sum())},
@@ -321,18 +322,18 @@ def suite_thm4(F: Frontal, samples: int, poles=None) -> dict:
     }
 
 
-def suite_square_reconstruction(P, samples: int) -> dict:
-    """The orthotomic of the square frontal: four mirror points, four
-    vertex-centered arcs with the predicted radii on the side away from P,
-    and the pedal as the 50% shrink toward P."""
+def suite_square_reconstruction(F: Frontal, samples: int,
+                                poles=None) -> dict:
+    """The square F's orthotomic: four mirror points and four vertex arcs
+    with the predicted radii on the side away from P; the pedal as the 50%
+    shrink toward P.  One order-0 evaluation of F feeds all of them."""
     if samples < SQUARE_MIN_SAMPLES:
         raise UsageError(f"square-reconstruction needs at least "
                          f"{SQUARE_MIN_SAMPLES} samples; got {samples}")
-    P = np.asarray(P, dtype=float)
+    grid, values, poles = _pole_grid(
+        F, samples, [SQUARE_POLE] if poles is None else poles, order=0)
+    P = poles[0]
     p1, p2 = P
-    F = catalog("square")
-    ortho = orthotomic(F, P).result
-    ped = pedal(F, P).result
 
     mirror = {
         1: np.array([2.0 - p1, p2]),
@@ -346,9 +347,8 @@ def suite_square_reconstruction(P, samples: int) -> dict:
     endpoints = {0: (mirror[7], mirror[1]), 2: (mirror[1], mirror[3]),
                  4: (mirror[3], mirror[5]), 6: (mirror[5], mirror[7])}
 
-    t = np.linspace(0.0, 8.0, samples, endpoint=False)[:, None]
-    seg = np.floor(t[:, 0]).astype(int) % 8
-    fv = ortho.eval_f(t)
+    seg = np.floor(grid[:, 0]).astype(int) % 8
+    fv = orthotomic(F, P).image(grid, *values)
 
     worst_mirror = 0.0
     for k, target in mirror.items():
@@ -375,7 +375,7 @@ def suite_square_reconstruction(P, samples: int) -> dict:
         if np.any(cross * side_P > SQUARE_TOL):
             side_ok = False
 
-    pedv = ped.eval_f(t)
+    pedv = pedal(F, P).image(grid, *values)
     worst_shrink = float(np.max(row_norm(pedv - (fv + P) / 2.0)))
 
     return {
@@ -405,30 +405,22 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
     """Dispatch a named suite.  poles: one per row (one for ONE_POLE, None
     for frontal-condition), a count k of NS poles to sample (the CLI's
     --poles auto:k), or None for N_POLES (thm2: one; square-reconstruction:
-    SQUARE_POLE).  Each rule on poles is checked here, before any pole is
-    drawn.  samples: DEFAULT_SAMPLES[name] when None."""
+    SQUARE_POLE, on the catalog square).  The pole rules are checked before
+    any pole is drawn.  samples: DEFAULT_SAMPLES[name] when None."""
     if name not in DEFAULT_SAMPLES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = samples or DEFAULT_SAMPLES[name]
-    given = np.ndim(poles) > 0  # one pole per row, not a count or None
-    if given:
-        poles = np.atleast_2d(np.asarray(poles, dtype=float))
     if poles is not None and name == "frontal-condition":
         raise UsageError(f"suite {name} takes no pole")
-    if name in ONE_POLE and (len(poles) if given else poles or 1) > 1:
+    count = len(np.atleast_2d(poles)) if np.ndim(poles) else poles or 1
+    if name in ONE_POLE and count > 1:
         raise UsageError(f"suite {name} takes one pole")
     if name == "square-reconstruction":
-        if not given:  # a count of 1 draws the pole; None is SQUARE_POLE
-            poles = (_pole_grid(catalog("square"), samples, 1)[2] if poles
-                     else [SQUARE_POLE])
-        return suite_square_reconstruction(poles[0], samples=samples)
+        F = catalog("square")
     if F is None:
         raise UsageError(f"suite {name!r} needs a frontal")
-    if name == "frontal-condition":
-        return suite_frontal_condition(F, samples=samples)
-    if name == "thm2":
-        P = poles[0] if given else _pole_grid(F, samples, 1)[2][0]
-        return suite_thm2(F, P, samples=samples)
     # looked up at call time, so a wrapped suite_* is the one that runs
-    suite = globals()["suite_" + name]
+    suite = globals()["suite_" + name.replace("-", "_")]
+    if name == "frontal-condition":
+        return suite(F, samples=samples)
     return suite(F, samples=samples, poles=poles)

@@ -80,7 +80,8 @@ def test_criterion_04_negative_pedal_regression():
 
 
 def test_criterion_05_square_reconstruction():
-    rep = verify.suite_square_reconstruction(P=(0.3, -0.2), samples=4096)
+    rep = verify.suite_square_reconstruction(catalog("square"), samples=4096,
+                                             poles=[(0.3, -0.2)])
     _report(5, "square orthotomic reconstruction", rep["passed"],
             f"mirror {rep['max_mirror_residual']:.1e}, "
             f"radius {rep['max_radius_residual']:.1e}, "
@@ -89,9 +90,10 @@ def test_criterion_05_square_reconstruction():
 
 
 def test_criterion_06_vector_formula():
-    rep_s = verify.suite_thm2(catalog("sphere"), [0.0, 0.0, 0.3],
-                              samples=1024)
-    rep_c = verify.suite_thm2(catalog("circle"), [0.5, 0.0], samples=1024)
+    rep_s = verify.suite_thm2(catalog("sphere"), samples=1024,
+                              poles=[[0.0, 0.0, 0.3]])
+    rep_c = verify.suite_thm2(catalog("circle"), samples=1024,
+                              poles=[[0.5, 0.0]])
     ok = rep_s["passed"] and rep_c["passed"]
     _report(6, "negative-pedal offset vector formula", ok,
             f"sphere residual {rep_s['max_residual']:.1e} "

@@ -1,8 +1,8 @@
-import dataclasses
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from conftest import counting
 
 from frontalforge.analysis import (AMBIGUOUS_BAND, RANK_SCALE_FLOOR,
                                    cahn_hoffman, front_equivalence,
@@ -191,20 +191,6 @@ class TestRankFromOneSVD:
             np.testing.assert_array_equal(getattr(rep, field), want[k])
 
 
-def _counting_rows(F, rows):
-    """F with every evaluator appending the row count of each call to
-    rows[its name]."""
-    def counted(key, fun):
-        def call(x):
-            rows[key].append(x.shape[0])
-            return fun(x)
-        return call
-
-    return dataclasses.replace(F, **{key: counted(key, getattr(F, key))
-                                     for key in ("f", "nu", "jac_f",
-                                                 "jac_nu")})
-
-
 class TestSingleEvaluation:
     """Each analysis call evaluates its frontal once, on its k rows."""
 
@@ -214,7 +200,7 @@ class TestSingleEvaluation:
     @pytest.mark.parametrize("name", ["circle", "sphere"])
     def test_each_evaluator_runs_once_per_row(self, name, call):
         rows = defaultdict(list)
-        F = _counting_rows(catalog(name), rows)
+        F = counting(catalog(name), rows)
         x = grid_for(F, 64, interior_margin=1e-3)
         P = _suite_poles(F, 1)[0]
         rows.clear()

@@ -49,6 +49,19 @@ def test_circle_cubic_image_and_gauss_coincide():
     np.testing.assert_array_equal(fv, F.eval_nu(g))
 
 
+def test_circle_cubic_cube_must_be_finite():
+    """c**3 overflows between c = 5.64e102 and 5.65e102: the smaller c
+    evaluates without a warning, and every c above it is refused, a JSON
+    integer too."""
+    F = catalog("circle-cubic", {"c": 5.64e102})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F.eval(grid_for(F, 64), 1)
+    for c in (5.65e102, 1e200, 10**150):
+        with pytest.raises(CatalogParameterError, match="'c'"):
+            catalog("circle-cubic", {"c": c})
+
+
 def test_cube_correctly_rounded():
     # The oracle is exact rational arithmetic, so this fails on any numpy
     # whose arithmetic would change the circle-cubic golden bytes.

@@ -1,11 +1,11 @@
-import dataclasses
 import hashlib
 import json
 import warnings
-from collections import Counter
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from conftest import counting
 
 from frontalforge import cli, errors
 from frontalforge.catalog import catalog
@@ -15,17 +15,6 @@ from frontalforge.cli import (EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE,
 
 def run(argv):
     return main(argv)
-
-
-def _counting(F, rows):
-    """F whose f and nu count the rows they are called on, by name."""
-    def counted(key, fun):
-        def call(x):
-            rows[key] += x.shape[0]
-            return fun(x)
-        return call
-
-    return dataclasses.replace(F, f=counted("f", F.f), nu=counted("nu", F.nu))
 
 
 # One command per --tol-* option, the option last.
@@ -217,10 +206,10 @@ class TestTransform:
     def test_source_evaluated_once(self, kind, tmp_path, monkeypatch):
         """--out, --svg and --source-out together run the source's f and nu
         on each grid row once."""
-        rows = Counter()
+        rows = defaultdict(list)
 
         def counting_catalog(name, params=None):
-            return _counting(catalog(name, params), rows)
+            return counting(catalog(name, params), rows)
 
         monkeypatch.setattr(cli, "catalog", counting_catalog)
         code = run(["transform", "--catalog", "circle", "--kind", kind,
@@ -229,7 +218,7 @@ class TestTransform:
                     "--svg", str(tmp_path / "a.svg"),
                     "--source-out", str(tmp_path / "s.csv")])
         assert code == EXIT_OK
-        assert rows == {"f": 100, "nu": 100}
+        assert rows == {"f": [100], "nu": [100]}
 
     # sha256 of `--no-gauss --out` at 256 samples, recorded when the image
     # came from a second evaluation of the source
@@ -269,10 +258,10 @@ class TestTransform:
                                             monkeypatch):
         """--no-gauss --source-out takes the image from the source values
         it writes: f and nu run on each grid row once, not twice."""
-        rows = Counter()
+        rows = defaultdict(list)
 
         def counting_catalog(name, params=None):
-            return _counting(catalog(name, params), rows)
+            return counting(catalog(name, params), rows)
 
         monkeypatch.setattr(cli, "catalog", counting_catalog)
         code = run(["transform", "--catalog", "circle", "--kind", kind,
@@ -280,7 +269,7 @@ class TestTransform:
                     "--out", str(tmp_path / "a.csv"),
                     "--source-out", str(tmp_path / "s.csv")])
         assert code == EXIT_OK
-        assert rows == {"f": 100, "nu": 100}
+        assert rows == {"f": [100], "nu": [100]}
 
     def test_non_finite_image_is_degeneracy(self, tmp_path, capsys):
         """The orthotomic of a circle of radius 1e308 has radius 2e308,
@@ -395,13 +384,13 @@ class TestVerify:
     def test_auto_poles_match_suite_sampler(self, monkeypatch, capsys):
         from frontalforge import verify
 
-        rows = Counter()
+        rows = defaultdict(list)
         monkeypatch.setattr(cli, "catalog", lambda name, params=None:
-                            _counting(catalog(name, params), rows))
+                            counting(catalog(name, params), rows))
         assert run(["verify", "--suite", "thm1", "--catalog", "cusp",
                     "--poles", "auto:2", "--samples", "128"]) == EXIT_OK
         # the suite's one evaluation of F on its grid feeds the sampler
-        assert rows == {"f": 128, "nu": 128}
+        assert rows == {key: [128] for key in ("f", "nu", "jac_f", "jac_nu")}
         auto = json.loads(capsys.readouterr().out)["poles"]
         # the sampler accepts candidates in order, so the first two of the
         # suite's N_POLES are the two that auto:2 draws
@@ -673,12 +662,26 @@ class TestExitCodes:
          "NonFiniteSampleError"),
         (["verify", "--suite", "thm2", "--catalog", "circle", "--param",
           "R=1e-300", "--pole", "0,0", "--samples", "16"], EXIT_DEGENERATE,
-         "NonFiniteSampleError")],
+         "NonFiniteSampleError"),
+        # a circle-cubic whose c**3 overflows
+        (["ns", "--catalog", "circle-cubic", "--param", "c=1e200",
+          "--bbox=-2,2,-2,2", "--resolution", "4", "--samples", "64"],
+         EXIT_USAGE, "'c'"),
+        (["verify", "--suite", "frontal-condition", "--catalog",
+          "circle-cubic", "--param", "c=1e200", "--samples", "64"],
+         EXIT_USAGE, "'c'"),
+        (["verify", "--suite", "thm1", "--catalog", "circle-cubic",
+          "--param", "c=1e200", "--samples", "64"], EXIT_USAGE, "'c'"),
+        (["transform", "--catalog", "circle-cubic", "--param", "c=1e200",
+          "--kind", "pedal", "--pole", "0.1,0.2", "--samples", "16"],
+         EXIT_USAGE, "'c'")],
         ids=["params-json", "param-list", "param-nan-string",
              "bbox-overflows", "auto-poles-huge", "bbox-near-overflow",
              "auto-poles-one-pole-suite", "tiny-circle-transform",
              "tiny-circle-front-check", "huge-circle-thm4",
-             "tiny-circle-cahn-hoffman", "tiny-circle-thm2"])
+             "tiny-circle-cahn-hoffman", "tiny-circle-thm2",
+             "huge-cubic-ns", "huge-cubic-frontal-condition",
+             "huge-cubic-thm1", "huge-cubic-transform"])
     def test_edge_input_sweep(self, argv, code, says, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

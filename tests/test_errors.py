@@ -43,7 +43,8 @@ def _raster(bbox):
     (lambda: verify.run_suite("frontal-condition", catalog("circle"),
                               poles=[[5, 5]]),
      "suite frontal-condition takes no pole"),
-    (lambda: verify.suite_square_reconstruction((0.3, -0.2), 7),
+    (lambda: verify.suite_square_reconstruction(catalog("square"), 7,
+                                                [(0.3, -0.2)]),
      "at least 8 samples"),
     (lambda: ns_raster(catalog("sphere"), (-2, 2, -2, 2), 4,
                        np.zeros((1, 2))), "ambient dimension 2"),

@@ -1,11 +1,13 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontalforge.linalg import numeric_rank, row_norm
+from frontalforge.errors import NonFiniteSampleError
+from frontalforge.linalg import finite_rows, numeric_rank, row_norm
 
 
 # inf, nan, zeros of both signs, subnormals, and magnitudes whose squares
@@ -80,3 +82,23 @@ class TestNumericRank:
         M = rng.uniform(-1.0, 1.0, (5, 3))
         Q, _ = np.linalg.qr(rng.uniform(-1.0, 1.0, (3, 3)))
         assert numeric_rank(M @ Q, tol=1e-8) == numeric_rank(M, tol=1e-8)
+
+
+class TestFiniteRows:
+    """finite_rows names the first row of x where any array is not
+    finite, whatever the arrays' shapes and memory layouts."""
+
+    @pytest.mark.parametrize("rows", [[5], [2, 5], [5, 2], [0], [6]])
+    def test_first_bad_row_of_all_arrays(self, rows):
+        x = np.arange(7.0)[:, None]
+        f = np.ones((7, 2))
+        J = np.asfortranarray(np.ones((7, 3, 2)))  # not C-contiguous
+        f[rows[0], 1] = np.nan
+        J[rows[-1], 2, 0] = -np.inf
+        with pytest.raises(NonFiniteSampleError,
+                           match=re.escape(f"x=[{min(rows)}.0]")):
+            finite_rows(x, f, J[:, ::-1])
+
+    def test_finite_and_empty_pass(self):
+        finite_rows(np.zeros((3, 1)), np.ones((3, 2)), np.ones((3, 2, 1)))
+        finite_rows(np.zeros((0, 1)), np.ones((0, 2)))

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from frontalforge import _kernels, silhouette
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.frontal import Frontal, interval
-from frontalforge.errors import UsageError
+from frontalforge.errors import NonFiniteSampleError, UsageError
 from frontalforge.linalg import col_bounds
 from frontalforge.silhouette import (_ROW_BLOCK, DEFAULT_NS_TOL_FRAC,
                                      RasterGrid, ns_membership, ns_raster,
@@ -433,6 +435,36 @@ class TestCulledMinima:
             _same_bits(ref["lower_out"], -r_out[:, down])
             np.testing.assert_array_equal(ref["flat_in"], r_in[:, flat] > 0)
             np.testing.assert_array_equal(ref["flat_out"], r_out[:, flat] < 0)
+
+
+class TestNonFiniteSamples:
+    """A value of f or nu that is not finite is NonFiniteSampleError at its
+    grid point, raised before any pole or cell is judged: no raster of
+    undecided cells, no NaN margin, no futile pole candidates."""
+
+    @pytest.mark.parametrize("field", ["nu", "f"])
+    @pytest.mark.parametrize("call", [
+        lambda F, grid: ns_raster(F, (-2.0, 2.0, -2.0, 2.0), 128, grid),
+        lambda F, grid: ns_membership(F, [0.1, 0.2], grid),
+        lambda F, grid: sample_poles(F, grid, 1)],
+        ids=["ns_raster", "ns_membership", "sample_poles"])
+    def test_nan_sample_raises_at_its_point(self, call, field, monkeypatch):
+        C = catalog("circle")
+
+        def with_nan(x):
+            out = getattr(C, field)(x)
+            out[100] = np.nan
+            return out
+
+        def judged(*args):
+            raise AssertionError("a pole was judged")
+
+        monkeypatch.setattr(silhouette, "_row_minima", judged)
+        monkeypatch.setattr(_kernels, "support_extrema", judged)
+        grid = _grid(C)
+        with pytest.raises(NonFiniteSampleError, match=re.escape(
+                f"non-finite sample at x={grid[100].tolist()!r}")):
+            call(dataclasses.replace(C, **{field: with_nan}), grid)
 
 
 class TestSerialization:

@@ -1,9 +1,10 @@
 import dataclasses
 import hashlib
-from collections import Counter
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from conftest import counting
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,11 +192,11 @@ class TestSingleWrap:
         calls = []
         wrap = ParamDomain.wrap
 
-        def counting(self, x):
+        def counted_wrap(self, x):
             calls.append(x.shape)
             return wrap(self, x)
 
-        monkeypatch.setattr(ParamDomain, "wrap", counting)
+        monkeypatch.setattr(ParamDomain, "wrap", counted_wrap)
         out = getattr(back, which)(g)
         assert calls == [g.shape]
         np.testing.assert_allclose(out, expected, atol=1e-8)
@@ -242,42 +243,30 @@ class TestJetOracle:
             assert np.max(np.abs(J - fd) / (1.0 + np.abs(J))) <= 1e-6
 
 
-def _counting(F, calls):
-    """F with every evaluator counting its calls into `calls`."""
-    def counted(key, fun):
-        def call(x):
-            calls[key] += 1
-            return fun(x)
-        return call
-
-    return dataclasses.replace(F, **{key: counted(key, getattr(F, key))
-                                     for key in ("f", "nu", "jac_f",
-                                                 "jac_nu")})
-
-
 class TestSingleEvaluation:
     @pytest.mark.parametrize("case", [c for c, _ in JET_CASES])
     @pytest.mark.parametrize("name", ["circle", "sphere"])
     def test_each_source_evaluator_runs_once(self, name, case):
-        calls = Counter()
-        F = _counting(catalog(name), calls)
+        rows = defaultdict(list)
+        F = counting(catalog(name), rows)
         G = dict(JET_CASES)[case](F, sample_poles(F, _grid(F, 64), 1)[0])
         g = _grid(F, 64)
-        calls.clear()
+        k = len(g)
+        rows.clear()
         G.eval(g, 0)
-        assert calls == {"f": 1, "nu": 1}
-        calls.clear()
+        assert rows == {"f": [k], "nu": [k]}
+        rows.clear()
         G.eval(g, 1)
-        assert calls == {"f": 1, "nu": 1, "jac_f": 1, "jac_nu": 1}
+        assert rows == {"f": [k], "nu": [k], "jac_f": [k], "jac_nu": [k]}
 
     def test_shared_evaluator_runs_once(self):
-        calls = Counter()
+        rows = defaultdict(list)
         F = catalog("sphere")
         g = _grid(F, 64)
-        F = dataclasses.replace(F, f=_counting(F, calls).f)
+        F = counting(F, rows)
         F = dataclasses.replace(F, nu=F.f, jac_nu=F.jac_f)
         fv, nv, Jf, Jn = F.eval(g, 1)
-        assert calls == {"f": 1}
+        assert rows == {"f": [len(g)], "jac_f": [len(g)]}
         assert nv is fv and Jn is Jf
 
 

@@ -8,10 +8,11 @@ import inspect
 import json
 import threading
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from conftest import counting
 
 from frontalforge import verify
 from frontalforge.catalog import catalog, catalog_names
@@ -135,37 +136,39 @@ def test_default_samples_is_the_one_table(monkeypatch):
         assert counted == poles * want[name], name
 
 
-def _counting(F, calls):
-    """F whose evaluators count the rows they are called on, by name."""
-    def counted(key, fun):
-        def call(x):
-            calls[key] += x.shape[0]
-            return fun(x)
-        return call
-
-    return dataclasses.replace(F, **{key: counted(key, getattr(F, key))
-                                     for key in ("f", "nu", "jac_f",
-                                                 "jac_nu")})
+# (frontal, suite, poles): each pole suite with its poles left to it,
+# sampled rows and a count; a one-pole suite takes one of each
+EVALUATION_CASES = (
+    [(name, suite, poles) for name in catalog_names()
+     for suite in [*LAZY, "thm3", "thm4"] for poles in (None, "sampled", 3)]
+    + [(name, "thm2", poles) for name in catalog_names()
+       for poles in (None, "sampled", 1)]
+    + [("square", "square-reconstruction", poles)
+       for poles in (None, "sampled", 1)])
 
 
-@pytest.mark.parametrize("poles", [None, "sampled", 3])
-@pytest.mark.parametrize("suite", [*LAZY, "thm3", "thm4"])
-@pytest.mark.parametrize("name", catalog_names())
-def test_one_order_one_evaluation_per_suite(name, suite, poles):
-    """Each evaluator of F runs on the grid once, whatever the pole count
-    and whether the poles are given, counted or left to the suite: the
-    sampler, every transform and analysis call, and thm1's round trips
-    read that one jet."""
-    calls = Counter()
-    F = _counting(catalog(name), calls)
+@pytest.mark.parametrize("name, suite, poles", EVALUATION_CASES)
+def test_one_order_one_evaluation_per_suite(name, suite, poles, monkeypatch):
+    """Each evaluator of F a suite uses runs on the grid once, whatever the
+    pole count and whether the poles are given, counted or left to the
+    suite: the sampler, every transform and analysis call, and thm1's
+    round trips read that one order-1 jet; square-reconstruction reads one
+    order-0 evaluation of the square."""
+    rows = defaultdict(list)
+    F = counting(catalog(name), rows)
+    monkeypatch.setattr(verify, "catalog", lambda _: F)  # the square
     grid = verify.grid_for(F, SAMPLES, interior_margin=1e-3)
+    count = 1 if suite in verify.ONE_POLE else 3
     if poles == "sampled":
-        poles = sample_poles(catalog(name), grid, 3)
-    calls.clear()
+        poles = sample_poles(catalog(name), grid, count)
+    rows.clear()
     rep = verify.run_suite(suite, F, poles=poles, samples=SAMPLES)
-    assert len(rep["poles"]) == (5 if poles is None else 3)
-    k = grid.shape[0]
-    assert calls == {"f": k, "nu": k, "jac_f": k, "jac_nu": k}
+    if suite not in verify.ONE_POLE:
+        assert len(rep["poles"]) == (5 if poles is None else 3)
+    k = [grid.shape[0]]
+    keys = ("f", "nu") if suite == "square-reconstruction" else (
+        "f", "nu", "jac_f", "jac_nu")
+    assert rows == {key: k for key in keys}
 
 
 @pytest.mark.parametrize("suite", ["thm1", "prop1", "thm3", "thm4"])
@@ -197,14 +200,16 @@ def test_pole_rules_fail_before_any_pole_is_drawn(name, poles, match,
 
 
 @pytest.mark.parametrize("name", ["thm2", "square-reconstruction"])
-def test_one_pole_suite_draws_the_first_sampled_pole(name, monkeypatch):
+def test_one_pole_suite_draws_the_first_sampled_pole(name):
     """A one-pole suite given the count 1, and thm2 given no pole, draws
-    its pole from the pole suites' grid, as thm1 draws its first."""
-    F = catalog("circle" if name == "thm2" else "square")
-    want = verify.run_suite("thm1", F, samples=SAMPLES)["poles"][0]
-    for poles in (1, None) if name == "thm2" else (1,):
-        rep = verify.run_suite(name, F, poles=poles, samples=SAMPLES)
-        assert rep["pole"] == want
+    its pole from the pole suites' grid, as thm1 draws its first: thm2 on
+    every catalog frontal, square-reconstruction on the square."""
+    for frontal in catalog_names() if name == "thm2" else ["square"]:
+        F = catalog(frontal)
+        want = verify.run_suite("thm1", F, samples=SAMPLES)["poles"][0]
+        for poles in (1, None) if name == "thm2" else (1,):
+            rep = verify.run_suite(name, F, poles=poles, samples=SAMPLES)
+            assert rep["pole"] == want, frontal
 
 
 # sha256 of `frontalforge verify --suite S --catalog C --samples 4096
@@ -254,8 +259,10 @@ def test_suite_report_bytes_pinned(suite, name, tmp_path):
 
 def test_square_reconstruction_needs_a_sample_per_segment():
     with pytest.raises(ValueError, match="at least 8 samples"):
-        verify.suite_square_reconstruction(verify.SQUARE_POLE, 7)
-    assert verify.suite_square_reconstruction(verify.SQUARE_POLE, 8)["passed"]
+        verify.suite_square_reconstruction(catalog("square"), 7,
+                                           [verify.SQUARE_POLE])
+    assert verify.suite_square_reconstruction(catalog("square"), 8,
+                                              [verify.SQUARE_POLE])["passed"]
 
 
 # -- thm1 and prop1 on row blocks in parallel threads -----------------------
@@ -366,7 +373,7 @@ def test_thm3_skips_a_pole_on_the_image():
 def test_thm4_rejects_a_nan_row():
     """A NaN row makes the stacked Jacobians non-finite: front_equivalence
     raises NonFiniteSampleError before an SVD that would not converge."""
-    with pytest.raises(NonFiniteSampleError, match="non-finite Jacobian"), \
+    with pytest.raises(NonFiniteSampleError, match="non-finite sample at x="), \
             np.errstate(invalid="ignore"):
         verify.run_suite("thm4", _nan_row_circle(), poles=[[0.1, 0.2]],
                          samples=255)
