@@ -39,14 +39,6 @@ DEFAULT_RANK_TOL = 1e-6
 AMBIGUOUS_BAND = (1e-8, 1e-4)
 
 
-def _rows(x, n: int) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim != 2 or x.shape[1] != n:
-        raise ValueError(f"expected parameter points of shape (k, {n}), "
-                         f"got {x.shape}")
-    return x
-
-
 @dataclass(frozen=True)
 class CahnHoffmanReport:
     """Per-row results over k points; `formula` and `residual` are NaN on
@@ -79,11 +71,10 @@ def cahn_hoffman(G: Frontal, P, x, jnu_tol: float = DEFAULT_JNU_TOL,
     row whose J nu~ is not finite raises NonFiniteSampleError.  jet, when
     given, is G's order-1 jet at the wrapped x (as in opening_residual).
     """
-    x = _rows(x, G.param_dim)
-    P = np.asarray(P, dtype=float)
-    xw = G.domain.wrap(x)
-    g, _, Jg, _ = jet = G.eval_wrapped(xw, 1) if jet is None else jet
-    ftilde, nt, _, Jnt = negative_pedal(G, P).apply(xw, *jet)
+    P = G.pole(P)
+    x, jet = G.at(x, 1, jet)
+    g, _, Jg, _ = jet
+    ftilde, nt, _, Jnt = negative_pedal(G, P).apply(x, *jet)
     gamma = row_norm(g - P)
     grad = _grad(Jg, nt)
     finite_rows(x, Jnt)
@@ -127,15 +118,12 @@ def opening_residual(F: Frontal, P, x, nu2_tol: float = 1e-9,
     covariant).  jet, when given, is F's order-1 jet at the wrapped x (see
     Frontal.eval_wrapped), so a caller looping over poles evaluates F once.
     """
-    x = _rows(x, F.param_dim)
-    P = np.asarray(P, dtype=float)
-    xw = F.domain.wrap(x)
-    if jet is None:
-        jet = F.eval_wrapped(xw, 1)
+    P = F.pole(P)
+    x, jet = F.at(x, 1, jet)
     keep = ~nu2_degenerate(jet, P, nu2_tol)
     r = row_norm(jet[0] - P)
     _, nv, Jf, _ = jet = [a[keep] for a in jet]
-    _, nt, _, Jnt = anti_orthotomic(F, P).apply(xw[keep], *jet)
+    _, nt, _, Jnt = anti_orthotomic(F, P).apply(x[keep], *jet)
     nu2 = _dot(nv, nt)
     tangential = np.sign(nu2)[:, None] * (nv - nu2[:, None] * nt)
     gamma = 0.5 * r[keep]
@@ -152,7 +140,7 @@ def nu2_degenerate(jet: tuple, P, nu2_tol: float) -> np.ndarray:
     nu2 = nu . (f-P) / ||f-P|| has |nu2| <= nu2_tol, a pole on the image
     (f = P) included.  A NaN in f or nu leaves its row out."""
     fv, nv = jet[:2]
-    u = fv - np.asarray(P, dtype=float)
+    u = fv - P
     return np.abs(_dot(nv, u)) <= nu2_tol * row_norm(u)
 
 
@@ -167,7 +155,6 @@ def is_front_at(F: Frontal, x, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     The rank threshold is tol * max(sigma_max, 1), as in numeric_rank.
     """
-    x = _rows(x, F.param_dim)
     _, _, Jf, Jn = F.eval(x, 1)
     return numeric_rank(_stacked(Jf, Jn), tol) == F.param_dim
 
@@ -204,12 +191,9 @@ def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x = _rows(x, F.param_dim)
-    xw = F.domain.wrap(x)
-    if jet is None:
-        jet = F.eval_wrapped(xw, 1)
+    x, jet = F.at(x, 1, jet)
     _, _, Jf, Jn = jet
-    _, _, Jft, Jnt = anti_orthotomic(F, P).apply(xw, *jet)
+    _, _, Jft, Jnt = anti_orthotomic(F, P).apply(x, *jet)
     S = np.stack([_stacked(Jf, Jn), _stacked(Jft, Jnt), _stacked(Jf, Jft)])
     finite_rows(x, *S)
     sv = singular_values(S)

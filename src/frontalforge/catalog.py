@@ -154,16 +154,6 @@ def _square_rows(seg, s, slope, const=None):
     return [np.take(c, seg) + r for c, r in zip(const, rows)]
 
 
-def square_normal_components(t: np.ndarray):
-    """The raw (n1, n2) normal field of the square frontal (not normalized).
-
-    Never (0, 0): on corner segments it interpolates between adjacent edge
-    normals through a diagonal direction.
-    """
-    seg, u = _square_segments(np.mod(np.asarray(t, dtype=float), 8.0))
-    return tuple(_square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0))
-
-
 def _square() -> Frontal:
     def f(x):
         seg, u = _square_segments(x[:, 0])
@@ -323,6 +313,11 @@ def catalog(name: str, params: dict | None = None) -> Frontal:
         if not isinstance(value, numbers.Real):
             raise CatalogParameterError(f"{name}: parameter {key!r} must be "
                                         f"a real number, not {value!r}")
+        try:
+            float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise CatalogParameterError(f"{name}: parameter {key!r} is "
+                                        "beyond the float range") from None
     try:
         return _BUILDERS[name](**(params or {}))
     except TypeError as exc:

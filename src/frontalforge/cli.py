@@ -71,25 +71,18 @@ def _parse_reals(text: str, what: str) -> list:
                      "finite reals")
 
 
-def _parse_pole(text: str, m: int) -> np.ndarray:
-    P = np.array(_parse_reals(text, "pole"))
-    if P.shape[0] != m:
-        raise UsageError(f"pole has dimension {P.shape[0]}, expected {m}")
-    return P
-
-
-def _parse_poles(args, m: int):
+def _parse_poles(args):
     """--poles (auto:k, as the count k, or poles separated by ';') or else
-    --pole, as rows; None when neither is given."""
+    --pole, as lists of reals; None when neither is given."""
     if not args.poles:
-        return _parse_pole(args.pole, m)[None, :] if args.pole else None
+        return [_parse_reals(args.pole, "pole")] if args.pole else None
     if args.poles.startswith("auto:"):
         k = args.poles[5:]
         if not k.isdecimal() or int(k) < 1:
             raise UsageError(f"bad --poles {args.poles!r}; expected auto:k "
                              "with k >= 1")
         return int(k)
-    return np.array([_parse_pole(p, m) for p in args.poles.split(";")])
+    return [_parse_reals(p, "pole") for p in args.poles.split(";")]
 
 
 def _open(path: str):
@@ -111,15 +104,14 @@ def cmd_catalog(args) -> int:
 
 def cmd_transform(args) -> int:
     F = _load_frontal(args)
-    P = _parse_pole(args.pole, F.ambient_dim)
-    kind = TransformKind(args.kind)
+    T = transform(TransformKind(args.kind), F, _parse_reals(args.pole, "pole"),
+                  args.tol_degeneracy)
     if args.svg and F.ambient_dim != 2:
         raise UsageError("--svg requires ambient dimension 2")
     paths = [p for p in (args.out, args.svg, args.source_out) if p]
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise UsageError("--out, --svg and --source-out must name "
                          "different files")
-    T = transform(kind, F, P, args.tol_degeneracy)
     grid = verify.grid_for(F, args.samples)
     # F is evaluated once; the image is the transform applied to it
     source = sample(F, grid)
@@ -152,8 +144,7 @@ def cmd_verify(args) -> int:
             raise UsageError("suite square-reconstruction runs on the square "
                              f"only, not --catalog {args.catalog!r}")
     F = None if args.suite == "square-reconstruction" else _load_frontal(args)
-    poles = _parse_poles(args, (F or catalog("square")).ambient_dim)
-    report = verify.run_suite(args.suite, F=F, poles=poles,
+    report = verify.run_suite(args.suite, F=F, poles=_parse_poles(args),
                               samples=args.samples)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.json:
@@ -196,7 +187,7 @@ def _report_lines(reports, path):
 
 def cmd_cahn_hoffman(args) -> int:
     F = _load_frontal(args)
-    P = _parse_pole(args.pole, F.ambient_dim)
+    P = _parse_reals(args.pole, "pole")
     grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
     rep = cahn_hoffman(F, P, grid, args.tol_jnu)
     reports = [
@@ -217,7 +208,7 @@ _FRONT_FIELDS = ("rank_f_nu", "rank_ftilde_nutilde", "rank_f_ftilde",
 
 def cmd_front_check(args) -> int:
     F = _load_frontal(args)
-    P = _parse_pole(args.pole, F.ambient_dim)
+    P = _parse_reals(args.pole, "pole")
     grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
     rep = front_equivalence(F, P, grid, args.tol_rank)
     columns = [getattr(rep, key).tolist() for key in _FRONT_FIELDS]

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .linalg import finite_rows, row_norm
 
 FD_STEP = 1e-5       # central-difference step of frontals without a jac
@@ -51,11 +51,16 @@ class ParamDomain:
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Wrap periodic axes into [lo, hi); non-periodic axes pass through.
 
-        Points already in [lo, hi) keep their value, so wrapping twice is
-        wrapping once.  np.mod can round a tiny negative offset up to the
-        full period; such a result, equal to hi, becomes lo.
+        The one point check: x of any shape but (k, n), or (n,) for one
+        point, is a UsageError.  Points already in [lo, hi) keep their
+        value, so wrapping twice is wrapping once.  np.mod can round a tiny
+        negative offset up to the full period; such a result, equal to hi,
+        becomes lo.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise UsageError(f"expected parameter points of shape "
+                             f"(k, {self.dim}), got {x.shape}")
         out = x.copy()
         for j in range(self.dim):
             if self.periodic[j]:
@@ -129,10 +134,27 @@ class Frontal:
     def eval_nu(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.nu(self.domain.wrap(x)), dtype=float)
 
+    def pole(self, P) -> np.ndarray:
+        """P as ambient_dim finite reals, or a UsageError."""
+        P, m = np.asarray(P, dtype=float), self.ambient_dim
+        if P.shape != (m,):
+            d = len(P) if P.ndim == 1 else P.shape
+            raise UsageError(f"pole has dimension {d}, expected {m}")
+        if not np.isfinite(P).all():
+            raise UsageError(f"pole {P.tolist()} is not finite")
+        return P
+
+    def at(self, x: np.ndarray, order: int = 0,
+           jet: Optional[tuple] = None) -> tuple:
+        """(x wrapped, F's jet there): (f, nu), each (k, m), at order 1 also
+        (Jf, Jnu), each (k, m, n).  A held jet, F's jet already evaluated
+        at these points, is passed as jet and returned as it is."""
+        x = self.domain.wrap(x)
+        return x, self.eval_wrapped(x, order) if jet is None else jet
+
     def eval(self, x: np.ndarray, order: int = 0) -> tuple:
-        """(f, nu) at the points x, each (k, m); at order 1 also
-        (Jf, Jnu), each (k, m, n).  x is wrapped once."""
-        return self.eval_wrapped(self.domain.wrap(x), order)
+        """`at(x, order)`'s jet."""
+        return self.at(x, order)[1]
 
     def eval_wrapped(self, x: np.ndarray, order: int = 0) -> tuple:
         """`eval` at points already wrapped into the domain."""
@@ -179,8 +201,7 @@ class SampledMap:
 
 
 def sample(F: Frontal, x: np.ndarray) -> SampledMap:
-    x = F.domain.wrap(x)
-    vals, gauss = F.eval_wrapped(x)
+    x, (vals, gauss) = F.at(x)
     return SampledMap(params=x, values=vals, gauss=gauss)
 
 
@@ -192,7 +213,7 @@ def _fd_jacobian(fun, domain: ParamDomain, x: np.ndarray) -> np.ndarray:
     stencils; interior points closer than h to such a boundary are rejected.
     """
     h = FD_STEP
-    x = domain.wrap(np.atleast_2d(np.asarray(x, dtype=float)))
+    x = domain.wrap(x)
     k, n = x.shape
     f0 = np.asarray(fun(x), dtype=float)
     m = f0.shape[1]
@@ -274,7 +295,7 @@ def check_frontal(F: Frontal, grid: np.ndarray) -> FrontalCheck:
     Also records how far nu strays from unit norm on the grid.  Only nu
     and Jf are evaluated, unless F's own jet gives all four.
     """
-    grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
+    grid = F.domain.wrap(grid)
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
     if F.jet is None:

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .frontal import SampledMap
-from .linalg import col_bounds, row_norm
+from .linalg import _length, _lengths, col_bounds
 
 # rows per chunk: bounds the cells and rows held at once
 _CHUNK_ROWS = 512
@@ -356,18 +356,6 @@ def sampled_map_to_csv(sm: SampledMap) -> str:
     return table_text(csv_table(sm))
 
 
-def _lengths(v: np.ndarray) -> np.ndarray:
-    """Row norms of v.  A finite row whose squares overflow is divided by
-    its largest |entry| first and its norm scaled back; every other row
-    keeps the bits of the plain norm."""
-    with np.errstate(over="ignore"):
-        out = row_norm(v)
-        scale = np.max(np.abs(v), axis=1)
-        huge = np.isinf(out) & np.isfinite(scale)
-        out[huge] = scale[huge] * row_norm(v[huge] / scale[huge, None])
-    return out
-
-
 def _split_arcs(points: np.ndarray) -> list[np.ndarray]:
     """Split a sampled curve where consecutive samples jump by more than
     10x the median step (mirror-point clusters joined to distant arcs)."""
@@ -398,10 +386,7 @@ def svg_table(points: np.ndarray) -> Table:
         raise ValueError("curve_to_svg requires (k, 2) points")
     lo, hi = col_bounds(points)
     span = hi - lo
-    with np.errstate(over="ignore"):
-        diag = float(np.linalg.norm(span))
-    if np.isinf(diag):  # the squares overflow (bbox beyond ~1.3e154)
-        diag = float(_lengths(span[None])[0])
+    diag = _length(span)
     if diag <= 0.0:
         diag = 1.0
         span = np.array([1.0, 1.0])

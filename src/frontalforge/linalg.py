@@ -25,6 +25,27 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Row norms of v.  A finite row whose squares overflow is divided by
+    its largest |entry| first and its norm scaled back; every other row
+    keeps the bits of the plain norm."""
+    with np.errstate(over="ignore"):
+        out = row_norm(v)
+        scale = np.max(np.abs(v), axis=1)
+        huge = np.isinf(out) & np.isfinite(scale)
+        out[huge] = scale[huge] * row_norm(v[huge] / scale[huge, None])
+    return out
+
+
+def _length(v: np.ndarray) -> float:
+    """The length of one vector: np.linalg.norm(v), bit for bit, where that
+    is finite, else as in _lengths, so that a finite v whose squares
+    overflow (beyond about 1.3e154) keeps a finite length."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(v))
+    return out if np.isfinite(out) else float(_lengths(v[None])[0])
+
+
 def col_bounds(a: np.ndarray) -> tuple:
     """(lo, hi): the min and max of each column of a (k, m) array.  One 1-D
     reduction per column gives the values of a.min(axis=0) and

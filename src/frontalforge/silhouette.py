@@ -25,7 +25,7 @@ from . import _kernels
 from .errors import UsageError
 from .frontal import Frontal
 from .io import Table, choice, table_text
-from .linalg import col_bounds, finite_rows
+from .linalg import _length, col_bounds, finite_rows
 
 DEFAULT_NS_TOL_FRAC = 1e-9
 # `ns_raster`'s error-band factor, cull margin factor and rows per block
@@ -86,16 +86,14 @@ def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
     threshold (DEFAULT_NS_TOL_FRAC times the image bbox diagonal, at
     least 1).
     """
-    grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
+    P = F.pole(P)
+    grid, (fv, nv) = F.at(grid)
     if grid.shape[0] == 0:
         raise ValueError("empty grid")
-    P = np.asarray(P, dtype=float)
-    fv, nv = F.eval_wrapped(grid)
     finite_rows(grid, fv, nv)
     d = np.einsum("km,km->k", fv - P, nv)
     lo, hi = col_bounds(fv)
-    scale = float(np.linalg.norm(hi - lo))
-    tol = _ns_tol(scale, DEFAULT_NS_TOL_FRAC)
+    tol = _ns_tol(_length(hi - lo), DEFAULT_NS_TOL_FRAC)
     member = bool(d.min() > tol or d.max() < -tol)
     i = int(np.argmin(np.abs(d)))
     return NSReport(member=member, margin=float(abs(d[i])),
@@ -189,12 +187,10 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
                         cells=np.zeros((ny, nx), dtype=bool))
     xs, ys = raster.centers()
 
-    grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
-    fv, nv = F.eval_wrapped(grid)
+    grid, (fv, nv) = F.at(grid)
     finite_rows(grid, fv, nv)
     lo, hi = col_bounds(fv)
-    scale = float(np.linalg.norm(hi - lo))
-    tol = _ns_tol(scale, tol_frac)
+    tol = _ns_tol(_length(hi - lo), tol_frac)
 
     # bounds that overflow (boxes near 1e308) leave NaNs: cells undecided
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -117,7 +117,7 @@ def transform(kind: TransformKind, F: Frontal, P,
     with grad d = Jf^T nu + Jnu^T u.
     """
     lam, inverse = _FAMILY[kind]
-    P = np.asarray(P, dtype=float)
+    P = F.pole(P)
 
     if inverse:
         @_quiet
@@ -245,9 +245,7 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     too; the full check runs only on the rest, and every accepted pole is
     the one the unscreened loop would accept.
     """
-    if values is None:
-        grid = F.domain.wrap(np.atleast_2d(np.asarray(grid, dtype=float)))
-        values = F.eval_wrapped(grid)
+    grid, values = F.at(grid, jet=values)
     fv, nv = values[:2]
     finite_rows(grid, fv, nv)
     lo, hi = col_bounds(fv)

@@ -56,11 +56,12 @@ def _pole_grid(F: Frontal, samples: int, poles, order: int = 1):
     """The wrapped grid of a pole suite, F's jet of that order on it, and
     the poles: the given rows as a (k, m) array, or a count (N_POLES for
     None) of NS poles, which the sampler finds from that jet."""
-    grid = F.domain.wrap(grid_for(F, samples, interior_margin=1e-3))
-    jet = F.eval_wrapped(grid, order)
-    if np.ndim(poles) == 0:  # None or a count
+    grid, jet = F.at(grid_for(F, samples, interior_margin=1e-3), order)
+    if poles is None or np.isscalar(poles):  # None or a count
         return grid, jet, sample_poles(F, grid, poles or N_POLES, values=jet)
-    return grid, jet, np.atleast_2d(np.asarray(poles, dtype=float))
+    if len(poles) == 0:  # else the suite would report a pass on no pole
+        raise UsageError("no pole given: pass rows, a count or None")
+    return grid, jet, np.array([F.pole(P) for P in poles])
 
 
 # Fewest rows a thread of a split suite takes.  Below about this many,
@@ -405,20 +406,23 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
     """Dispatch a named suite.  poles: one per row (one for ONE_POLE, None
     for frontal-condition), a count k of NS poles to sample (the CLI's
     --poles auto:k), or None for N_POLES (thm2: one; square-reconstruction:
-    SQUARE_POLE, on the catalog square).  The pole rules are checked before
-    any pole is drawn.  samples: DEFAULT_SAMPLES[name] when None."""
+    SQUARE_POLE, on the catalog square).  Each given row is checked by
+    F.pole, then the pole rules, all before any pole is drawn.  samples:
+    DEFAULT_SAMPLES[name] when None."""
     if name not in DEFAULT_SAMPLES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = samples or DEFAULT_SAMPLES[name]
-    if poles is not None and name == "frontal-condition":
-        raise UsageError(f"suite {name} takes no pole")
-    count = len(np.atleast_2d(poles)) if np.ndim(poles) else poles or 1
-    if name in ONE_POLE and count > 1:
-        raise UsageError(f"suite {name} takes one pole")
     if name == "square-reconstruction":
         F = catalog("square")
     if F is None:
         raise UsageError(f"suite {name!r} needs a frontal")
+    if not (poles is None or np.isscalar(poles)):  # rows
+        poles = np.array([F.pole(P) for P in poles])
+    if poles is not None and name == "frontal-condition":
+        raise UsageError(f"suite {name} takes no pole")
+    count = len(poles) if np.ndim(poles) else poles or 1
+    if name in ONE_POLE and count > 1:
+        raise UsageError(f"suite {name} takes one pole")
     # looked up at call time, so a wrapped suite_* is the one that runs
     suite = globals()["suite_" + name.replace("-", "_")]
     if name == "frontal-condition":

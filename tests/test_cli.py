@@ -72,6 +72,8 @@ class TestTransform:
         code = run(["transform", "--catalog", "circle", "--kind", "pedal",
                     "--pole", "0,0,0", "--samples", "8"])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: pole has dimension 3, expected 2\n"
 
     def test_unknown_catalog(self, capsys):
         code = run(["transform", "--catalog", "nope", "--kind", "pedal",
@@ -433,6 +435,20 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "error: bad pole 'inf,0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["thm1", "thm2",
+                                       "square-reconstruction"])
+    def test_pole_of_wrong_length_in_list_is_usage_error(self, suite,
+                                                         capsys):
+        """The library checks each pole's length, before a one-pole suite
+        counts them and before numpy sees rows of unequal length."""
+        catalog_args = [] if suite == "square-reconstruction" else [
+            "--catalog", "circle"]
+        code = run(["verify", "--suite", suite, "--poles", "0,0;0.1,0,0",
+                    "--samples", "32"] + catalog_args)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: pole has dimension 3, expected 2\n"
+
     def test_one_pole_suite_rejects_several(self, capsys):
         code = run(["verify", "--suite", "thm2", "--catalog", "circle",
                     "--poles", "0.1,0.2;0.3,0.1", "--samples", "32"])
@@ -674,14 +690,30 @@ class TestExitCodes:
           "--param", "c=1e200", "--samples", "64"], EXIT_USAGE, "'c'"),
         (["transform", "--catalog", "circle-cubic", "--param", "c=1e200",
           "--kind", "pedal", "--pole", "0.1,0.2", "--samples", "16"],
-         EXIT_USAGE, "'c'")],
+         EXIT_USAGE, "'c'"),
+        # a parameter beyond the float range
+        (["transform", "--catalog", "circle", "--param", "R=1" + "0" * 400,
+          "--kind", "pedal", "--pole", "0.1,0.2", "--samples", "16"],
+         EXIT_USAGE, "'R'"),
+        (["transform", "--catalog", "circle-cubic", "--param",
+          "c=1" + "0" * 400, "--kind", "pedal", "--pole", "0.1,0.2",
+          "--samples", "16"], EXIT_USAGE, "'c'"),
+        # an image whose bounding-box diagonal overflows a plain norm
+        (["ns", "--catalog", "circle", "--param", "R=1e300",
+          "--bbox=-2,2,-2,2", "--resolution", "8", "--samples", "64"],
+         EXIT_OK, ""),
+        (["ns", "--catalog", "circle", "--param", "R=1e300",
+          "--bbox=-2e300,2e300,-2e300,2e300", "--resolution", "8",
+          "--samples", "64"], EXIT_OK, "")],
         ids=["params-json", "param-list", "param-nan-string",
              "bbox-overflows", "auto-poles-huge", "bbox-near-overflow",
              "auto-poles-one-pole-suite", "tiny-circle-transform",
              "tiny-circle-front-check", "huge-circle-thm4",
              "tiny-circle-cahn-hoffman", "tiny-circle-thm2",
              "huge-cubic-ns", "huge-cubic-frontal-condition",
-             "huge-cubic-thm1", "huge-cubic-transform"])
+             "huge-cubic-thm1", "huge-cubic-transform",
+             "param-int-overflow", "cubic-param-int-overflow",
+             "huge-circle-ns-small-box", "huge-circle-ns-huge-box"])
     def test_edge_input_sweep(self, argv, code, says, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

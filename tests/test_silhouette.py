@@ -99,6 +99,25 @@ class TestRaster:
         np.testing.assert_array_equal(raster.cells[decided],
                                       (r < 1.0)[decided])
 
+    def test_huge_circle_keeps_a_finite_scale(self):
+        """R = 1e300: the image's bounding-box diagonal overflows a plain
+        norm, but the scale, and with it the tolerance, stays finite.  The
+        box +-2 lies inside the circle; on the box +-2e300 the members are
+        the cell centres inside it."""
+        F = catalog("circle", {"R": 1e300})
+        grid = _grid(F, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ns_membership(F, [0.0, 0.0], grid)
+            near = ns_raster(F, (-2.0, 2.0, -2.0, 2.0), 8, grid)
+            far = ns_raster(F, (-2e300, 2e300, -2e300, 2e300), 8, grid)
+        assert rep.member and np.isfinite(rep.tol) and rep.tol > 0.0
+        assert near.cells.all()
+        xs, ys = far.centers()
+        inside = np.hypot(*np.meshgrid(xs / 1e300, ys / 1e300)) < 1.0
+        assert inside.sum() == 12
+        np.testing.assert_array_equal(far.cells, inside)
+
     def test_square_raster_is_open_square(self):
         F = catalog("square")
         raster = ns_raster(F, (-3.0, 3.0, -3.0, 3.0), 64, _grid(F, 2048))
