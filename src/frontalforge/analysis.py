@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .frontal import Frontal
 from .linalg import (RANK_SCALE_FLOOR, finite_rows, numeric_rank, row_norm,
                      singular_values)
@@ -121,12 +122,11 @@ def opening_residual(F: Frontal, P, x, nu2_tol: float = 1e-9,
     P = F.pole(P)
     x, jet = F.at(x, 1, jet)
     keep = ~nu2_degenerate(jet, P, nu2_tol)
-    r = row_norm(jet[0] - P)
-    _, nv, Jf, _ = jet = [a[keep] for a in jet]
+    fv, nv, Jf, _ = jet = [a[keep] for a in jet]
     _, nt, _, Jnt = anti_orthotomic(F, P).apply(x[keep], *jet)
     nu2 = _dot(nv, nt)
     tangential = np.sign(nu2)[:, None] * (nv - nu2[:, None] * nt)
-    gamma = 0.5 * r[keep]
+    gamma = 0.5 * row_norm(fv - P)
     grad_gamma = 0.5 * _grad(Jf, nt)
     total = gamma[:, None] * _grad(Jnt, tangential) \
         + np.abs(nu2)[:, None] * grad_gamma
@@ -138,10 +138,11 @@ def opening_residual(F: Frontal, P, x, nu2_tol: float = 1e-9,
 def nu2_degenerate(jet: tuple, P, nu2_tol: float) -> np.ndarray:
     """The rows of F's jet where opening_residual's normal coefficient
     nu2 = nu . (f-P) / ||f-P|| has |nu2| <= nu2_tol, a pole on the image
-    (f = P) included.  A NaN in f or nu leaves its row out."""
+    (f = P) or an overflowing ||f-P|| included.  A NaN leaves its row out."""
     fv, nv = jet[:2]
     u = fv - P
-    return np.abs(_dot(nv, u)) <= nu2_tol * row_norm(u)
+    with np.errstate(over="ignore"):
+        return np.abs(_dot(nv, u)) <= nu2_tol * row_norm(u)
 
 
 def _stacked(J_top, J_bot):
@@ -190,7 +191,7 @@ def front_equivalence(F: Frontal, P, x, tol: float = DEFAULT_RANK_TOL,
     NonFiniteSampleError.
     """
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise UsageError("tol must be positive")
     x, jet = F.at(x, 1, jet)
     _, _, Jf, Jn = jet
     _, _, Jft, Jnt = anti_orthotomic(F, P).apply(x, *jet)

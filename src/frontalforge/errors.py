@@ -56,6 +56,10 @@ class SupportDegenerateError(DegenerateError):
     prop1's separation check needs, so f != f~ has no point to test."""
 
 
+class NoPointTestedError(DegenerateError):
+    """A suite skipped every grid point; the message counts the skips."""
+
+
 class PoleOnSilhouetteError(DegenerateError):
     """The pole P fails the no-silhouette condition (f(x)-P).nu(x) != 0 at a
     requested point; the inverse-transform formulas divide by that quantity."""

@@ -37,9 +37,9 @@ class ParamDomain:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         per = np.atleast_1d(np.asarray(self.periodic, dtype=bool))
         if lo.shape != hi.shape or lo.shape != per.shape:
-            raise ValueError("lo, hi, periodic must have matching shapes")
+            raise UsageError("lo, hi, periodic must have matching shapes")
         if np.any(hi <= lo):
-            raise ValueError("each axis needs lo < hi")
+            raise UsageError("each axis needs lo < hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "periodic", per)
@@ -83,9 +83,9 @@ class ParamDomain:
         if counts.shape[0] == 1 and self.dim > 1:
             counts = np.full(self.dim, counts[0])
         if counts.shape[0] != self.dim:
-            raise ValueError("one sample count per axis required")
+            raise UsageError("one sample count per axis required")
         if np.any(counts < 2):
-            raise ValueError("need at least 2 samples per axis")
+            raise UsageError("need at least 2 samples per axis")
         axes = []
         for j in range(self.dim):
             if self.periodic[j]:
@@ -104,19 +104,18 @@ def interval(lo: float, hi: float, periodic: bool = False) -> ParamDomain:
 
 @dataclass(frozen=True)
 class Frontal:
-    """An evaluable frontal (f, nu) over a box domain.
+    """An evaluable frontal (f, nu) over a box domain: a jet, or both maps.
 
-    f, nu: vectorized evaluators (k, n) -> (k, m).  jac_f / jac_nu, when
-    given, are analytic Jacobian evaluators (k, n) -> (k, m, n); otherwise
-    central finite differences with step FD_STEP are used.  jet, when given,
-    evaluates (f, nu) and, at order 1, (Jf, Jnu) together on wrapped points;
-    `eval` then uses it, and f and nu are its order-0 parts.  All evaluators
-    receive points already wrapped into the domain.
+    jet(x, order) evaluates (f, nu) and, at order 1, (Jf, Jnu) together; a
+    frontal with one is evaluated by it alone (a transformed frontal has
+    f = nu = None).  Else f, nu: vectorized maps (k, n) -> (k, m), and
+    jac_f / jac_nu analytic Jacobians (k, n) -> (k, m, n), or when None,
+    central differences with step FD_STEP.  Points arrive wrapped.
     """
 
     domain: ParamDomain
-    f: Callable[[np.ndarray], np.ndarray]
-    nu: Callable[[np.ndarray], np.ndarray]
+    f: Optional[Callable[[np.ndarray], np.ndarray]]
+    nu: Optional[Callable[[np.ndarray], np.ndarray]]
     ambient_dim: int
     jac_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_nu: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -124,15 +123,13 @@ class Frontal:
     params: dict = field(default_factory=dict)
     jet: Optional[Callable[[np.ndarray, int], tuple]] = None
 
+    def __post_init__(self):
+        if self.jet is None and (self.f is None or self.nu is None):
+            raise UsageError("a frontal needs a jet or both maps f and nu")
+
     @property
     def param_dim(self) -> int:
         return self.domain.dim
-
-    def eval_f(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(self.domain.wrap(x)), dtype=float)
-
-    def eval_nu(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.nu(self.domain.wrap(x)), dtype=float)
 
     def pole(self, P) -> np.ndarray:
         """P as ambient_dim finite reals, or a UsageError."""
@@ -159,7 +156,7 @@ class Frontal:
     def eval_wrapped(self, x: np.ndarray, order: int = 0) -> tuple:
         """`eval` at points already wrapped into the domain."""
         if order not in (0, 1):
-            raise ValueError(f"jet order must be 0 or 1, not {order!r}")
+            raise UsageError(f"jet order must be 0 or 1, not {order!r}")
         if self.jet is not None:
             return self.jet(x, order)
         fv = np.asarray(self.f(x), dtype=float)
@@ -193,9 +190,9 @@ class SampledMap:
 
     def __post_init__(self):
         if self.params.shape[0] != self.values.shape[0]:
-            raise ValueError("params/values length mismatch")
+            raise UsageError("params/values length mismatch")
         if self.gauss is not None and self.gauss.shape != self.values.shape:
-            raise ValueError("gauss shape mismatch")
+            raise UsageError("gauss shape mismatch")
         finite_rows(self.params, *(a for a in (self.params, self.values,
                                                self.gauss) if a is not None))
 
@@ -297,7 +294,7 @@ def check_frontal(F: Frontal, grid: np.ndarray) -> FrontalCheck:
     """
     grid = F.domain.wrap(grid)
     if grid.shape[0] == 0:
-        raise ValueError("empty grid")
+        raise UsageError("empty grid")
     if F.jet is None:
         nu, J = np.asarray(F.nu(grid), dtype=float), F._jacobian(grid, 0)
     else:

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import UsageError
 from .frontal import SampledMap
 from .linalg import _length, _lengths, col_bounds
 
@@ -383,7 +384,7 @@ def svg_table(points: np.ndarray) -> Table:
     of the bbox diagonal."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("curve_to_svg requires (k, 2) points")
+        raise UsageError("curve_to_svg requires (k, 2) points")
     lo, hi = col_bounds(points)
     span = hi - lo
     diag = _length(span)

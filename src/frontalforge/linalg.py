@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteSampleError
+from .errors import NonFiniteSampleError, UsageError
 
 RANK_SCALE_FLOOR = 1.0  # keeps noise on degenerate points from reading as rank
 
@@ -47,10 +47,13 @@ def _length(v: np.ndarray) -> float:
 
 
 def col_bounds(a: np.ndarray) -> tuple:
-    """(lo, hi): the min and max of each column of a (k, m) array.  One 1-D
+    """(lo, hi): the min and max of each column of a (k, m) array, k >= 1
+    (else a UsageError: the array is a map on an empty grid).  One 1-D
     reduction per column gives the values of a.min(axis=0) and
     a.max(axis=0), NaN included (a zero's sign may differ), in a fraction
     of the time of their strided reduction when k is large and m small."""
+    if len(a) == 0:
+        raise UsageError("empty grid")
     return (np.array([c.min() for c in a.T]),
             np.array([c.max() for c in a.T]))
 
@@ -72,7 +75,7 @@ def numeric_rank(M: np.ndarray, tol: float):
     array of the stack's shape.
     """
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise UsageError("tol must be positive")
     sv = singular_values(M)
     # sv[..., :1] is sigma_max, or empty (rank 0) for an empty matrix
     rank = np.sum(sv > tol * np.maximum(sv[..., :1], RANK_SCALE_FLOOR),

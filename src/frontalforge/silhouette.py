@@ -59,7 +59,7 @@ class RasterGrid:
         if nx < 2 or ny < 2:
             raise UsageError("resolution must be at least 2x2")
         if self.cells.shape != (ny, nx):
-            raise ValueError("cells shape does not match resolution")
+            raise UsageError("cells shape does not match resolution")
         with np.errstate(over="ignore", invalid="ignore"):
             if not all(np.isfinite(c).all() for c in self.centers()):
                 raise UsageError("bounding box too large: a cell centre "
@@ -88,8 +88,6 @@ def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
     """
     P = F.pole(P)
     grid, (fv, nv) = F.at(grid)
-    if grid.shape[0] == 0:
-        raise ValueError("empty grid")
     finite_rows(grid, fv, nv)
     d = np.einsum("km,km->k", fv - P, nv)
     lo, hi = col_bounds(fv)

@@ -11,7 +11,7 @@ kinds, the anti-orthotomic (lambda = 2, b = f) and the negative pedal
   f' = b - ||f-P||^2 / (lambda d) nu,   nu' = (f-P)/||f-P||,
 
 which need P in the no-silhouette set of the source (else
-PoleOnSilhouetteError).  Each result is a lazy Frontal on the source's domain.
+PoleOnSilhouetteError).  Each result is a jet on the source's domain.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (EmptyNSSetError, GaussDegenerateError,
-                     PoleOnSilhouetteError)
+                     PoleOnSilhouetteError, UsageError)
 from .frontal import Frontal
 from .linalg import col_bounds, finite_rows, row_norm
 
@@ -44,14 +44,14 @@ class TransformKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TransformResult:
-    """A transformed frontal `result`.  apply(x, f, nu[, Jf, Jnu]) runs its
-    arithmetic on a source jet already evaluated at the wrapped points x
-    and returns the bits of result.eval_wrapped(x, order), so a caller
+    """A transformed frontal `result`, whose jet (f = nu = None) is apply on
+    one source evaluation.  apply(x, f, nu[, Jf, Jnu]) runs the arithmetic
+    on a source jet already evaluated at the wrapped points x, so a caller
     holding that jet need not evaluate the source again.  At order 1,
     apply(..., gauss_jacobian=False) returns None for Jnu' and skips its
     arithmetic; the other three outputs keep their bits.  image(x, f, nu)
-    is result.f on held source values: the image alone, which a forward
-    kind has even where its Gauss map degenerates."""
+    is the image alone, which a forward kind has even where its Gauss map
+    degenerates (d = 0) and result.eval raises."""
 
     result: Frontal
     apply: Callable[..., tuple]
@@ -181,16 +181,10 @@ def transform(kind: TransformKind, F: Frontal, P,
             # the image exists where the Gauss map degenerates (d = 0)
             return foot(_dot(fv - P, nv), nv)
 
-    def f(x):
-        return image(x, *F.eval_wrapped(x))
-
     def jet(x, order=0):
         return apply(x, *F.eval_wrapped(x, order))
 
-    def nu(x):
-        return jet(x)[1]
-
-    out = Frontal(domain=F.domain, f=f, nu=nu, ambient_dim=F.ambient_dim,
+    out = Frontal(domain=F.domain, f=None, nu=None, ambient_dim=F.ambient_dim,
                   jet=jet, name=f"{kind.value}({F.name or 'frontal'})")
     return TransformResult(result=out, apply=apply, image=image)
 
@@ -243,8 +237,10 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     (see _screen_stride).  A subset's min is >= the full min and its max
     <= the full max, so a candidate the screen rejects fails the full check
     too; the full check runs only on the rest, and every accepted pole is
-    the one the unscreened loop would accept.
+    the one the unscreened loop would accept.  A count < 1 is a UsageError.
     """
+    if not count >= 1:
+        raise UsageError(f"need a pole count of at least 1, got {count!r}")
     grid, values = F.at(grid, jet=values)
     fv, nv = values[:2]
     finite_rows(grid, fv, nv)

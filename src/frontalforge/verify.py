@@ -13,10 +13,10 @@ import numpy as np
 from .analysis import (cahn_hoffman, front_equivalence, nu2_degenerate,
                        opening_residual)
 from .catalog import catalog
-from .errors import SupportDegenerateError, UsageError
+from .errors import NoPointTestedError, SupportDegenerateError, UsageError
 from .frontal import (FRONTAL_TOL, Frontal, ParamDomain, check_frontal,
                       tangency_residuals)
-from .linalg import row_norm
+from .linalg import _lengths, row_norm
 from .transforms import anti_orthotomic, orthotomic, pedal, sample_poles
 
 # Unused here; bound because perfbench/tracer.py patches it in this module.
@@ -24,11 +24,13 @@ from .transforms import negative_pedal  # noqa: F401
 
 
 def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray:
-    """Roughly `total` samples, split evenly across parameter axes.
+    """Roughly `total` >= 1 samples, split evenly across parameter axes.
 
     interior_margin > 0 insets non-periodic axes by that fraction of their
     length (used where finite differences need room around each point).
     """
+    if not total >= 1:
+        raise UsageError(f"need at least 1 sample, got {total!r}")
     n = F.param_dim
     per_axis = max(2, int(round(total ** (1.0 / n))))
     dom = F.domain
@@ -58,7 +60,8 @@ def _pole_grid(F: Frontal, samples: int, poles, order: int = 1):
     None) of NS poles, which the sampler finds from that jet."""
     grid, jet = F.at(grid_for(F, samples, interior_margin=1e-3), order)
     if poles is None or np.isscalar(poles):  # None or a count
-        return grid, jet, sample_poles(F, grid, poles or N_POLES, values=jet)
+        count = N_POLES if poles is None else poles
+        return grid, jet, sample_poles(F, grid, count, values=jet)
     if len(poles) == 0:  # else the suite would report a pass on no pole
         raise UsageError("no pole given: pass rows, a count or None")
     return grid, jet, np.array([F.pole(P) for P in poles])
@@ -234,6 +237,13 @@ def suite_thm1(F: Frontal, samples: int, poles=None) -> dict:
     }
 
 
+def _tested(suite: str, tested: int, skipped: dict) -> int:
+    """tested, or for 0 a NoPointTestedError giving the skip counts."""
+    if tested == 0:
+        raise NoPointTestedError(f"suite {suite} tested no point: {skipped}")
+    return tested
+
+
 def suite_thm2(F: Frontal, samples: int, poles=None) -> dict:
     """The vector formula f~ - f = ((J nu~)^-1)^t grad(gamma) (+ nothing
     along nu~) against the direct negative-pedal computation, plus the
@@ -245,26 +255,25 @@ def suite_thm2(F: Frontal, samples: int, poles=None) -> dict:
     capped = ~rep.singular & (rep.jnu_inv_norm > THM2_COND_MAX)
     ok = ~rep.singular & ~capped
     dn = row_norm(rep.direct[ok])
-    gn = row_norm(rep.grad_gamma[ok])
+    gn = _lengths(rep.grad_gamma[ok])
     worst = float(np.max(rep.residual[ok] / (1.0 + dn), initial=0.0))
     worst_ortho = float(np.max(np.abs(np.einsum(
         "km,km->k", rep.formula[ok], rep.gauss_direction[ok])), initial=0.0))
     corollary_ok = not np.any(((gn <= 1e-7) & (dn > 1e-4))
                               | ((dn <= 1e-7) & (gn > 1e-4)))
-    tested = int(ok.sum())
+    skipped = {"singular_gauss_map": int(rep.singular.sum()),
+               "condition_cap": int(capped.sum())}
     return {
         "suite": "thm2",
         "frontal": F.name,
         "pole": poles[0].tolist(),
-        "points_tested": tested,
-        "points_skipped": {"singular_gauss_map": int(rep.singular.sum()),
-                           "condition_cap": int(capped.sum())},
+        "points_tested": _tested("thm2", int(ok.sum()), skipped),
+        "points_skipped": skipped,
         "max_residual": worst,
         "max_normal_component": worst_ortho,
         "corollary_ok": corollary_ok,
         "tol": THM2_TOL,
-        "passed": worst <= THM2_TOL and corollary_ok and worst_ortho <= 1e-9
-        and tested > 0,
+        "passed": worst <= THM2_TOL and corollary_ok and worst_ortho <= 1e-9,
     }
 
 
@@ -286,15 +295,16 @@ def suite_thm3(F: Frontal, samples: int, poles=None) -> dict:
         tested += scaled.size
         worst.append(np.max(scaled, initial=0.0))
     worst = float(np.max(worst))  # one np.max, so that a NaN stays
+    skipped = {"degenerate_nu2": len(poles) * len(grid) - tested}
     return {
         "suite": "thm3",
         "frontal": F.name,
         "poles": poles.tolist(),
-        "points_tested": tested,
-        "points_skipped": {"degenerate_nu2": len(poles) * len(grid) - tested},
+        "points_tested": _tested("thm3", tested, skipped),
+        "points_skipped": skipped,
         "max_scaled_residual": worst,
         "tol": 1e-6,
-        "passed": worst <= 1e-6 and tested > 0,
+        "passed": worst <= 1e-6,
     }
 
 
@@ -316,10 +326,11 @@ def suite_thm4(F: Frontal, samples: int, poles=None) -> dict:
         "suite": "thm4",
         "frontal": F.name,
         "poles": poles.tolist(),
-        "points_tested": tested,
+        "points_tested": _tested("thm4", tested,
+                                 {"rank_ambiguous": excluded}),
         "points_excluded": excluded,
         "inconsistent": inconsistent,
-        "passed": inconsistent == 0 and tested > 0,
+        "passed": inconsistent == 0,
     }
 
 
@@ -335,46 +346,30 @@ def suite_square_reconstruction(F: Frontal, samples: int,
         F, samples, [SQUARE_POLE] if poles is None else poles, order=0)
     P = poles[0]
     p1, p2 = P
-
-    mirror = {
-        1: np.array([2.0 - p1, p2]),
-        3: np.array([p1, 2.0 - p2]),
-        5: np.array([-2.0 - p1, p2]),
-        7: np.array([p1, -2.0 - p2]),
-    }
-    verts = {0: np.array([1.0, -1.0]), 2: np.array([1.0, 1.0]),
-             4: np.array([-1.0, 1.0]), 6: np.array([-1.0, -1.0])}
-    # arc endpoints: adjacent mirror points in traversal order
-    endpoints = {0: (mirror[7], mirror[1]), 2: (mirror[1], mirror[3]),
-                 4: (mirror[3], mirror[5]), 6: (mirror[5], mirror[7])}
-
+    # mirror[i]: P mirrored in the side of segment 2i + 1; verts[i]: the
+    # vertex of segment 2i
+    mirror = [np.array(m) for m in ((2.0 - p1, p2), (p1, 2.0 - p2),
+                                     (-2.0 - p1, p2), (p1, -2.0 - p2))]
+    verts = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
     seg = np.floor(grid[:, 0]).astype(int) % 8
     fv = orthotomic(F, P).image(grid, *values)
 
-    worst_mirror = 0.0
-    for k, target in mirror.items():
-        pts = fv[seg == k]
-        worst_mirror = max(worst_mirror,
-                           float(np.max(row_norm(pts - target))))
-
-    worst_radius = 0.0
+    worst_mirror = worst_radius = 0.0
     side_ok = True
-    for k, center in verts.items():
-        pts = fv[seg == k]
+    for i, center in enumerate(verts):
+        worst_mirror = max(worst_mirror, float(np.max(row_norm(
+            fv[seg == 2 * i + 1] - mirror[i]))))
+        pts = fv[seg == 2 * i]
         radius = float(np.linalg.norm(center - P))
         worst_radius = max(worst_radius, float(np.max(np.abs(
             row_norm(pts - center) - radius))))
-        a, b = endpoints[k]
-        chord = b - a
-
-        def cross2(v):
-            return chord[0] * v[..., 1] - chord[1] * v[..., 0]
-
-        # arc must lie on the opposite side of the chord from P
-        side_P = np.sign(cross2(P - a))
-        cross = cross2(pts - a)
-        if np.any(cross * side_P > SQUARE_TOL):
-            side_ok = False
+        # the arc joins the adjacent mirror points a, b, on the side of
+        # their chord away from P
+        a, b = mirror[i - 1], mirror[i]
+        chord, v = b - a, np.vstack([P, pts]) - a
+        cross = chord[0] * v[:, 1] - chord[1] * v[:, 0]
+        side_ok = side_ok and not np.any(
+            cross[1:] * np.sign(cross[0]) > SQUARE_TOL)
 
     pedv = pedal(F, P).image(grid, *values)
     worst_shrink = float(np.max(row_norm(pedv - (fv + P) / 2.0)))
@@ -403,16 +398,19 @@ ONE_POLE = ("thm2", "square-reconstruction")
 
 def run_suite(name: str, F: Frontal | None = None, poles=None,
               samples: int | None = None) -> dict:
-    """Dispatch a named suite.  poles: one per row (one for ONE_POLE, None
-    for frontal-condition), a count k of NS poles to sample (the CLI's
-    --poles auto:k), or None for N_POLES (thm2: one; square-reconstruction:
-    SQUARE_POLE, on the catalog square).  Each given row is checked by
-    F.pole, then the pole rules, all before any pole is drawn.  samples:
-    DEFAULT_SAMPLES[name] when None."""
+    """Dispatch a named suite (square-reconstruction: on the square alone).
+    poles: one per row (one for ONE_POLE, None for frontal-condition), a
+    count k >= 1 of NS poles to sample (the CLI's --poles auto:k), or None
+    for N_POLES (thm2: one; square-reconstruction: SQUARE_POLE).  Each given
+    row is checked by F.pole, then the pole rules, all before any pole is
+    drawn.  samples: >= 1, or None for DEFAULT_SAMPLES[name]."""
     if name not in DEFAULT_SAMPLES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    samples = samples or DEFAULT_SAMPLES[name]
+    samples = DEFAULT_SAMPLES[name] if samples is None else samples
     if name == "square-reconstruction":
+        if F is not None and F.name != "square":
+            raise UsageError("suite square-reconstruction runs on the square "
+                             f"only, not on {F.name!r}")
         F = catalog("square")
     if F is None:
         raise UsageError(f"suite {name!r} needs a frontal")
@@ -420,7 +418,7 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
         poles = np.array([F.pole(P) for P in poles])
     if poles is not None and name == "frontal-condition":
         raise UsageError(f"suite {name} takes no pole")
-    count = len(poles) if np.ndim(poles) else poles or 1
+    count = len(poles) if np.ndim(poles) else 1 if poles is None else poles
     if name in ONE_POLE and count > 1:
         raise UsageError(f"suite {name} takes one pole")
     # looked up at call time, so a wrapped suite_* is the one that runs

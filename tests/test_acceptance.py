@@ -73,7 +73,7 @@ def test_criterion_04_negative_pedal_regression():
     t = np.linspace(-1.2, 1.2, 512, endpoint=False)[:, None]
     assert np.any(t == 0.0)
     res = negative_pedal(G, [0.0, 0.0]).result
-    err = float(np.max(np.linalg.norm(res.eval_f(t) - G.eval_f(t), axis=1)))
+    err = float(np.max(np.linalg.norm(res.eval(t)[0] - G.eval(t)[0], axis=1)))
     ok = err <= 1e-12
     _report(4, "cubic-circle negative pedal restores the circle", ok,
             f"max error {err:.1e} at 512 points incl. the singular one")

@@ -33,7 +33,7 @@ def _unit_map(F, P):
     """x -> (f(x) - P) / ||f(x) - P||, the Gauss map of the anti-orthotomic
     and of the negative pedal, for finite differences."""
     def fun(x):
-        u = F.eval_f(x) - P
+        u = F.eval(x)[0] - P
         return u / np.linalg.norm(u, axis=1)[:, None]
     return fun
 
@@ -45,7 +45,7 @@ def _fd(F, fun, x):
 def _fd_grad_norm(F, P, x):
     """Central-difference gradient of ||f(x) - P||, shape (k, n)."""
     def fun(t):
-        return np.linalg.norm(F.eval_f(t) - P, axis=1)[:, None]
+        return np.linalg.norm(F.eval(t)[0] - P, axis=1)[:, None]
     return _fd(F, fun, x)[:, 0, :]
 
 
@@ -317,8 +317,8 @@ class TestFiniteDifferenceOracle:
             x = _subsample(grid, 32, seed=i)
             rep = front_equivalence(F, P, x)
             anti = anti_orthotomic(F, P).result
-            Jf, Jn, Jft, Jnt = (_fd(F, fun, x) for fun in (
-                F.eval_f, F.eval_nu, anti.eval_f, anti.eval_nu))
+            Jf, Jn, Jft, Jnt = (_fd(F, lambda t, G=G, i=i: G.eval(t)[i], x)
+                                for G in (F, anti) for i in (0, 1))
             S = np.stack([np.concatenate(pair, axis=1) for pair in (
                 (Jf, Jn), (Jft, Jnt), (Jf, Jft))])
             ranks = numeric_rank(S, tol=1e-6)

@@ -43,18 +43,18 @@ def test_bad_params():
 
 def test_circle_radius_param():
     F = catalog("circle", {"R": 2.5})
-    fv = F.eval_f(np.array([[0.0], [np.pi / 2]]))
+    fv = F.eval(np.array([[0.0], [np.pi / 2]]))[0]
     np.testing.assert_allclose(fv, [[2.5, 0.0], [0.0, 2.5]], atol=1e-12)
-    nv = F.eval_nu(np.array([[np.pi]]))
+    nv = F.eval(np.array([[np.pi]]))[1]
     np.testing.assert_allclose(nv, [[-1.0, 0.0]], atol=1e-12)
 
 
 def test_circle_cubic_image_and_gauss_coincide():
     F = catalog("circle-cubic")
     g = F.domain.grid([64])
-    fv = F.eval_f(g)
+    fv = F.eval(g)[0]
     np.testing.assert_allclose(np.linalg.norm(fv, axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(fv, F.eval_nu(g))
+    np.testing.assert_array_equal(fv, F.eval(g)[1])
 
 
 def test_circle_cubic_cube_must_be_finite():
@@ -88,37 +88,37 @@ def test_circle_cubic_uses_exact_cube_on_cli_grid():
     assert g.shape == (512, 1)
     t3 = _exact_cubes(g[:, 0])
     expect = np.stack([np.cos(t3), np.sin(t3)], axis=-1)
-    np.testing.assert_array_equal(F.eval_f(g), expect)
-    np.testing.assert_array_equal(F.eval_nu(g), expect)
+    np.testing.assert_array_equal(F.eval(g)[0], expect)
+    np.testing.assert_array_equal(F.eval(g)[1], expect)
 
 
 def test_cusp_values():
     F = catalog("cusp")
-    fv = F.eval_f(np.array([[0.0], [0.5]]))
+    fv = F.eval(np.array([[0.0], [0.5]]))[0]
     np.testing.assert_allclose(fv, [[0.0, 0.0], [0.25, 0.125]], atol=1e-15)
-    nv = F.eval_nu(np.array([[0.0]]))
+    nv = F.eval(np.array([[0.0]]))[1]
     np.testing.assert_allclose(nv, [[0.0, -1.0]], atol=1e-15)
 
 
 def test_nonfront_values():
     F = catalog("nonfront")
-    fv = F.eval_f(np.array([[-0.5]]))
+    fv = F.eval(np.array([[-0.5]]))[0]
     np.testing.assert_allclose(fv, [[-0.125, 0.015625]], atol=1e-15)
 
 
 def test_sphere_unit_image():
     F = catalog("sphere")
     g = F.domain.grid([12, 12])
-    fv = F.eval_f(g)
+    fv = F.eval(g)[0]
     np.testing.assert_allclose(np.linalg.norm(fv, axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(fv, F.eval_nu(g))
+    np.testing.assert_array_equal(fv, F.eval(g)[1])
 
 
 def test_constant_point():
     F = catalog("constant")
     g = F.domain.grid([8])
-    np.testing.assert_array_equal(F.eval_f(g), np.tile([0.0, -1.0], (8, 1)))
-    np.testing.assert_array_equal(F.eval_nu(g), np.tile([-1.0, 0.0], (8, 1)))
+    np.testing.assert_array_equal(F.eval(g)[0], np.tile([0.0, -1.0], (8, 1)))
+    np.testing.assert_array_equal(F.eval(g)[1], np.tile([-1.0, 0.0], (8, 1)))
 
 
 class TestSmoothStep:
@@ -156,7 +156,7 @@ class TestSmoothStep:
 class TestSquare:
     def test_image_on_square_boundary(self):
         F = catalog("square")
-        fv = F.eval_f(np.linspace(0.0, 8.0, 4096, endpoint=False)[:, None])
+        fv = F.eval(np.linspace(0.0, 8.0, 4096, endpoint=False)[:, None])[0]
         on_edge = np.isclose(np.max(np.abs(fv), axis=1), 1.0, atol=1e-9)
         assert np.all(on_edge)
 
@@ -166,7 +166,7 @@ class TestSquare:
                  6: [-1.0, -1.0]}
         for k, v in verts.items():
             t = (k + np.linspace(0.0, 1.0, 33))[:, None]
-            np.testing.assert_allclose(F.eval_f(t), np.tile(v, (33, 1)),
+            np.testing.assert_allclose(F.eval(t)[0], np.tile(v, (33, 1)),
                                        atol=1e-15)
 
     def test_edge_segments_pin_normals(self):
@@ -175,7 +175,7 @@ class TestSquare:
                    7: [0.0, -1.0]}
         for k, nrm in normals.items():
             t = (k + np.linspace(0.0, 1.0, 33))[:, None]
-            np.testing.assert_allclose(F.eval_nu(t), np.tile(nrm, (33, 1)),
+            np.testing.assert_allclose(F.eval(t)[1], np.tile(nrm, (33, 1)),
                                        atol=1e-15)
 
     def test_normal_components_never_vanish(self):
@@ -186,13 +186,14 @@ class TestSquare:
     def test_period_eight(self):
         F = catalog("square")
         t = np.linspace(0.0, 8.0, 257)[:, None]
-        np.testing.assert_allclose(F.eval_f(t), F.eval_f(t + 8.0), atol=1e-12)
+        np.testing.assert_allclose(F.eval(t)[0], F.eval(t + 8.0)[0],
+                                   atol=1e-12)
 
     def test_traversal_counterclockwise(self):
         # shoelace area of the traced square is positive and equals 4
         F = catalog("square")
         t = np.linspace(0.0, 8.0, 4096, endpoint=False)[:, None]
-        fv = F.eval_f(t)
+        fv = F.eval(t)[0]
         x, y = fv[:, 0], fv[:, 1]
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         assert abs(area - 4.0) < 1e-6

@@ -704,7 +704,22 @@ class TestExitCodes:
          EXIT_OK, ""),
         (["ns", "--catalog", "circle", "--param", "R=1e300",
           "--bbox=-2e300,2e300,-2e300,2e300", "--resolution", "8",
-          "--samples", "64"], EXIT_OK, "")],
+          "--samples", "64"], EXIT_OK, ""),
+        # ||f-P|| overflows: every nu2 reads as degenerate, quietly, and a
+        # scale-free nu2 (ROADMAP item 4) will make each exit 0
+        (["verify", "--suite", "thm3", "--catalog", "circle",
+          "--pole=1e300,0"], EXIT_DEGENERATE, "'degenerate_nu2': 256"),
+        (["verify", "--suite", "thm3", "--catalog", "circle", "--param",
+          "R=1e300", "--pole=0,0"], EXIT_DEGENERATE, "'degenerate_nu2': 256"),
+        # grad(gamma) whose squares overflow
+        (["verify", "--suite", "thm2", "--catalog", "circle-cubic",
+          "--param", "c=1e100"], EXIT_OK, ""),
+        # suites that test no point
+        (["verify", "--suite", "thm2", "--catalog", "constant"],
+         EXIT_DEGENERATE, "NoPointTestedError"),
+        (["verify", "--suite", "thm4", "--catalog", "circle", "--param",
+          "R=1e-6", "--pole=0,0", "--samples", "16"], EXIT_DEGENERATE,
+         "'rank_ambiguous': 16")],
         ids=["params-json", "param-list", "param-nan-string",
              "bbox-overflows", "auto-poles-huge", "bbox-near-overflow",
              "auto-poles-one-pole-suite", "tiny-circle-transform",
@@ -713,7 +728,9 @@ class TestExitCodes:
              "huge-cubic-ns", "huge-cubic-frontal-condition",
              "huge-cubic-thm1", "huge-cubic-transform",
              "param-int-overflow", "cubic-param-int-overflow",
-             "huge-circle-ns-small-box", "huge-circle-ns-huge-box"])
+             "huge-circle-ns-small-box", "huge-circle-ns-huge-box",
+             "huge-pole-thm3", "huge-circle-thm3", "huge-cubic-thm2",
+             "constant-thm2-no-point", "tiny-circle-thm4-no-point"])
     def test_edge_input_sweep(self, argv, code, says, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

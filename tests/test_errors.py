@@ -20,8 +20,8 @@ def test_the_five_degeneracies_keep_their_other_base():
                   if isinstance(cls, type) and issubclass(cls, DegenerateError)}
     assert degenerate - {DegenerateError} == {
         errors.EmptyNSSetError, errors.GaussDegenerateError,
-        errors.NonFiniteSampleError, errors.PoleOnSilhouetteError,
-        errors.SupportDegenerateError}
+        errors.NoPointTestedError, errors.NonFiniteSampleError,
+        errors.PoleOnSilhouetteError, errors.SupportDegenerateError}
     assert issubclass(errors.EmptyNSSetError, RuntimeError)
     assert issubclass(errors.NonFiniteSampleError, ValueError)
 

@@ -51,6 +51,29 @@ def test_allowlist_is_current():
         assert name in imported and name not in used, (module, name)
 
 
+def _parse(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_one_evaluation_route():
+    """A frontal is evaluated through Frontal alone: no other module reads
+    its maps, and a transformed frontal evaluates its source in one place,
+    its jet."""
+    for module in MODULES:
+        if module != "frontal":
+            read = sorted(node.attr for node in ast.walk(_parse(module))
+                          if isinstance(node, ast.Attribute)
+                          and node.attr in ("f", "nu", "jac_f", "jac_nu"))
+            assert read == [], module
+    tree = _parse("transforms")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "eval_wrapped"]
+    jets = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "jet"]
+    assert len(calls) == 1 and len(jets) == 1
+    assert any(node is calls[0] for node in ast.walk(jets[0]))
+
+
 def test_cli_import_leaves_out_concurrent_futures():
     """verify imports its thread pool when a suite first splits; importing
     concurrent.futures (and logging with it) at start-up would cost every

@@ -69,7 +69,7 @@ class TestSplitArcs:
         F = catalog("square")
         res = orthotomic(F, [0.3, -0.2]).result
         t = np.linspace(0.0, 8.0, 2048, endpoint=False)[:, None]
-        pts = res.eval_f(t)
+        pts = res.eval(t)[0]
         arcs = _split_arcs(pts)
         np.testing.assert_array_equal(np.vstack(arcs), pts)
 

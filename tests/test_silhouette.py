@@ -83,7 +83,7 @@ class TestMembership:
         assert ns_membership(F, P, g).member
         rep = ns_membership(anti_orthotomic(F, P).result, P, g)
         assert rep.member
-        bound = float(np.min(np.linalg.norm(F.eval_f(g) - P, axis=1))) / 2.0
+        bound = float(np.min(np.linalg.norm(F.eval(g)[0] - P, axis=1))) / 2.0
         assert rep.margin >= bound - 1e-8
 
 
@@ -182,8 +182,7 @@ def _dense_cells(F, bbox, resolution, grid, tol_frac=DEFAULT_NS_TOL_FRAC):
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     gx, gy = np.meshgrid(xs, ys)
     grid = F.domain.wrap(grid)
-    fv = F.eval_f(grid)
-    nv = F.eval_nu(grid)
+    fv, nv = F.eval(grid)
     dmin, dmax = _kernels.support_extrema(
         fv, nv, np.stack([gx.ravel(), gy.ravel()], axis=-1))
     scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
@@ -251,7 +250,7 @@ class TestRasterMatchesDense:
         # within rounding distance of some half-plane bound
         F = catalog(name)
         g = _grid(F, 512)
-        points = F.eval_f(F.domain.wrap(g))
+        points = F.eval(F.domain.wrap(g))[0]
         rng = np.random.default_rng(PLANAR.index(name))
         for cx, cy in points[rng.choice(len(points), 4)]:
             for h in (1e-15, 1e-14, 1e-13):

@@ -43,13 +43,13 @@ class TestOrthotomic:
         F = catalog("circle")
         res = orthotomic(F, [0.0, 0.0]).result
         g = _grid(F)
-        np.testing.assert_allclose(np.linalg.norm(res.eval_f(g), axis=1),
+        np.testing.assert_allclose(np.linalg.norm(res.eval(g)[0], axis=1),
                                    2.0, atol=1e-12)
 
     def test_line_collapses_to_mirror_point(self):
         F = _line_frontal()
         res = orthotomic(F, [0.0, 1.0]).result
-        fv = res.eval_f(_grid(F, 64))
+        fv = res.eval(_grid(F, 64))[0]
         np.testing.assert_allclose(fv, np.tile([0.0, -1.0], (fv.shape[0], 1)),
                                    atol=1e-12)
 
@@ -57,7 +57,7 @@ class TestOrthotomic:
         F = catalog("square")
         res = orthotomic(F, [0.3, -0.2]).result
         t = (1.0 + np.linspace(0.0, 1.0, 65))[:, None]  # edge x = 1
-        fv = res.eval_f(t)
+        fv = res.eval(t)[0]
         np.testing.assert_allclose(fv, np.tile([1.7, -0.2], (65, 1)),
                                    atol=1e-9)
 
@@ -67,15 +67,15 @@ class TestPedal:
         F = catalog("circle")
         res = pedal(F, [0.0, 0.0]).result
         g = _grid(F)
-        np.testing.assert_allclose(res.eval_f(g), F.eval_f(g), atol=1e-12)
+        np.testing.assert_allclose(res.eval(g)[0], F.eval(g)[0], atol=1e-12)
 
     @pytest.mark.parametrize("name", ["circle", "cusp", "square"])
     def test_linkage_with_orthotomic(self, name):
         F = catalog(name)
         P = np.array([0.3, -0.2])
         g = _grid(F)
-        ped = pedal(F, P).result.eval_f(g)
-        ort = orthotomic(F, P).result.eval_f(g)
+        ped = pedal(F, P).result.eval(g)[0]
+        ort = orthotomic(F, P).result.eval(g)[0]
         np.testing.assert_allclose(2.0 * ped - P, ort, atol=1e-12)
 
 
@@ -84,10 +84,10 @@ class TestAntiOrthotomic:
         F = catalog("circle", {"R": 2.0})
         res = anti_orthotomic(F, [0.0, 0.0]).result
         g = _grid(F)
-        fv = res.eval_f(g)
+        fv = res.eval(g)[0]
         np.testing.assert_allclose(np.linalg.norm(fv, axis=1), 1.0,
                                    atol=1e-12)
-        np.testing.assert_allclose(res.eval_nu(g), fv, atol=1e-12)
+        np.testing.assert_allclose(res.eval(g)[1], fv, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["circle", "cusp", "circle-cubic"])
     def test_equidistance(self, name):
@@ -95,8 +95,8 @@ class TestAntiOrthotomic:
         g = _grid(F, 128)
         P = sample_poles(F, g, 1)[0]
         anti = anti_orthotomic(F, P).result
-        fv = F.eval_f(g)
-        ftv = anti.eval_f(g)
+        fv = F.eval(g)[0]
+        ftv = anti.eval(g)[0]
         np.testing.assert_allclose(np.linalg.norm(ftv - P, axis=1),
                                    np.linalg.norm(ftv - fv, axis=1),
                                    atol=1e-9)
@@ -112,7 +112,7 @@ class TestAntiOrthotomic:
             return np.tile([0.0, 1.0], (x.shape[0], 1))
 
         F = Frontal(domain=interval(-1.0, 1.0), f=f, nu=nu, ambient_dim=2)
-        out = anti_orthotomic(F, [-0.5, 0.0]).result.eval_f(np.zeros((1, 1)))
+        out = anti_orthotomic(F, [-0.5, 0.0]).result.eval(np.zeros((1, 1)))[0]
         assert out[0, 0] == 0.0 and np.signbit(out[0, 0])
 
     def test_result_is_frontal(self):
@@ -131,14 +131,14 @@ class TestNegativePedal:
         t = np.linspace(-1.2, 1.2, 512, endpoint=False)[:, None]
         assert np.any(t == 0.0)
         res = negative_pedal(G, [0.0, 0.0]).result
-        np.testing.assert_allclose(res.eval_f(t), G.eval_f(t), atol=1e-12)
-        np.testing.assert_allclose(res.eval_nu(t), G.eval_nu(t), atol=1e-12)
+        np.testing.assert_allclose(res.eval(t)[0], G.eval(t)[0], atol=1e-12)
+        np.testing.assert_allclose(res.eval(t)[1], G.eval(t)[1], atol=1e-12)
 
     def test_circle_self_inverse(self):
         G = catalog("circle")
         g = _grid(G)
         res = negative_pedal(G, [0.0, 0.0]).result
-        np.testing.assert_allclose(res.eval_f(g), G.eval_f(g), atol=1e-12)
+        np.testing.assert_allclose(res.eval(g)[0], G.eval(g)[0], atol=1e-12)
 
     @pytest.mark.parametrize("name", ["circle", "cusp", "sphere"])
     def test_matches_doubled_anti_orthotomic(self, name):
@@ -147,13 +147,13 @@ class TestNegativePedal:
         P = sample_poles(G, g, 1)[0]
 
         def f2(x):
-            return 2.0 * G.eval_f(x) - P
+            return 2.0 * G.eval(x)[0] - P
 
         F2 = Frontal(domain=G.domain, f=f2, nu=G.nu,
                      ambient_dim=G.ambient_dim)
         np.testing.assert_allclose(
-            negative_pedal(G, P).result.eval_f(g),
-            anti_orthotomic(F2, P).result.eval_f(g), atol=1e-10)
+            negative_pedal(G, P).result.eval(g)[0],
+            anti_orthotomic(F2, P).result.eval(g)[0], atol=1e-10)
 
 
 class TestDegeneracy:
@@ -165,30 +165,32 @@ class TestDegeneracy:
     @pytest.mark.parametrize("build", [orthotomic, pedal],
                              ids=lambda b: b.__name__)
     def test_forward_gauss_map_degenerates(self, build):
-        res = build(catalog("circle"), [1.0, 0.0]).result
-        assert np.all(np.isfinite(res.eval_f(self.X)))  # image evaluates
+        F = catalog("circle")
+        T = build(F, [1.0, 0.0])
+        image = T.image(self.X, *F.eval(self.X))
+        assert np.all(np.isfinite(image))  # the image exists at d = 0
         with pytest.raises(GaussDegenerateError) as exc:
-            res.eval_nu(self.X)
+            T.result.eval(self.X)
         assert exc.value.x.tolist() == [0.0] and exc.value.value == 0.0
 
-    @pytest.mark.parametrize("which", ["eval_f", "eval_nu"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["f", "nu"])
     @pytest.mark.parametrize("build", [anti_orthotomic, negative_pedal],
                              ids=lambda b: b.__name__)
     def test_inverse_pole_on_silhouette(self, build, which):
         res = build(catalog("circle"), [1.0, 0.0]).result
         with pytest.raises(PoleOnSilhouetteError) as exc:
-            getattr(res, which)(self.X)
+            res.eval(self.X)[which]
         assert exc.value.x.tolist() == [0.0] and exc.value.value == 0.0
 
 
 class TestSingleWrap:
-    @pytest.mark.parametrize("which", ["eval_f", "eval_nu"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["f", "nu"])
     def test_depth_two_round_trip_wraps_once(self, which, monkeypatch):
         F = catalog("circle")
         P = np.array([0.3, -0.2])
         back = anti_orthotomic(orthotomic(F, P).result, P).result
         g = _grid(F, 64) + 7.0  # outside [0, 2 pi): the one wrap matters
-        expected = getattr(F, which)(g)
+        expected = F.eval(g)[which]
         calls = []
         wrap = ParamDomain.wrap
 
@@ -197,7 +199,7 @@ class TestSingleWrap:
             return wrap(self, x)
 
         monkeypatch.setattr(ParamDomain, "wrap", counted_wrap)
-        out = getattr(back, which)(g)
+        out = back.eval(g)[which]
         assert calls == [g.shape]
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
@@ -235,10 +237,10 @@ class TestJetOracle:
         G = F if case == "source" else dict(JET_CASES)[case](F, P)
         x = _interior_points(F, 64, seed=len(name))
         fv, nv, Jf, Jn = G.eval(x, 1)
-        np.testing.assert_array_equal(fv, G.eval_f(x))
-        np.testing.assert_array_equal(nv, G.eval_nu(x))
-        for J, fun in ((Jf, G.f), (Jn, G.nu)):
-            fd = _fd_jacobian(fun, G.domain, x)
+        np.testing.assert_array_equal(fv, G.eval(x)[0])
+        np.testing.assert_array_equal(nv, G.eval(x)[1])
+        for i, J in enumerate((Jf, Jn)):
+            fd = _fd_jacobian(lambda t: G.eval_wrapped(t)[i], G.domain, x)
             assert J.shape == (64, F.ambient_dim, F.param_dim)
             assert np.max(np.abs(J - fd) / (1.0 + np.abs(J))) <= 1e-6
 
@@ -300,6 +302,13 @@ class TestApply:
         assert len(short) == 4 and short[3] is None
         for a, b in zip(short[:3], full[:3]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+    def test_result_is_its_jet(self, kind):
+        """A transformed frontal has no maps of its own: its jet, apply on
+        one source evaluation, is its one evaluator."""
+        R = transform(kind, catalog("circle"), [0.1, 0.2]).result
+        assert R.f is None and R.nu is None and R.jet is not None
 
     def test_survives_dataclass_replace(self):
         F = catalog("circle")
@@ -385,14 +394,14 @@ class TestRoundTrips:
         g = _grid(F, 128)
         P = sample_poles(F, g, 1)[0]
         back = anti_orthotomic(orthotomic(F, P).result, P).result
-        np.testing.assert_allclose(back.eval_f(g), F.eval_f(g), atol=1e-8)
+        np.testing.assert_allclose(back.eval(g)[0], F.eval(g)[0], atol=1e-8)
 
     def test_pedal_negative_pedal(self):
         G = catalog("circle")
         g = _grid(G)
         P = np.array([0.25, -0.1])
         back = negative_pedal(pedal(G, P).result, P).result
-        np.testing.assert_allclose(back.eval_f(g), G.eval_f(g), atol=1e-8)
+        np.testing.assert_allclose(back.eval(g)[0], G.eval(g)[0], atol=1e-8)
 
 
 class TestEquivariance:
@@ -408,12 +417,12 @@ class TestEquivariance:
         P = np.array([0.2, 0.3])
 
         def fshift(x):
-            return F.eval_f(x) + c
+            return F.eval(x)[0] + c
 
         Fc = Frontal(domain=F.domain, f=fshift, nu=F.nu, ambient_dim=2)
         g = _grid(F, 64)
-        a = transform(kind, F, P).result.eval_f(g)
-        b = transform(kind, Fc, P + c).result.eval_f(g)
+        a = transform(kind, F, P).result.eval(g)[0]
+        b = transform(kind, Fc, P + c).result.eval(g)[0]
         np.testing.assert_allclose(b, a + c, atol=1e-10)
 
 

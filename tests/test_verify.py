@@ -18,7 +18,8 @@ from frontalforge import verify
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.cli import main
 from frontalforge.errors import (GaussDegenerateError, NonFiniteSampleError,
-                                 PoleOnSilhouetteError, UsageError)
+                                 NoPointTestedError, PoleOnSilhouetteError,
+                                 UsageError)
 from frontalforge.frontal import ParamDomain, tangency_residuals
 from frontalforge.transforms import anti_orthotomic, orthotomic, sample_poles
 
@@ -84,7 +85,7 @@ def _lazy_thm1(F, samples):
         back2 = anti_orthotomic(orthotomic(F, P).result, P).result
         for back in (back1, back2):
             worst["roundtrip"] = max(worst["roundtrip"], float(np.max(
-                _norm(back.eval_f(grid) - fv))))
+                _norm(back.eval(grid)[0] - fv))))
     tols = {"frontal": 1e-6, "support": 1e-8, "equidistance": 1e-9,
             "roundtrip": 1e-8}
     return {
@@ -126,7 +127,9 @@ def test_default_samples_is_the_one_table(monkeypatch):
             return _suite(*args, **kw)
         monkeypatch.setattr(verify, key, spy)
     F = catalog("circle")  # 1-parameter: grid_for(F, n) has n points
-    reps = {name: verify.run_suite(name, F) for name in verify.SUITES}
+    reps = {name: verify.run_suite(
+        name, catalog("square") if name == "square-reconstruction" else F)
+        for name in verify.SUITES}
     want = verify.DEFAULT_SAMPLES
     assert seen == want
     assert reps["frontal-condition"]["samples"] == want["frontal-condition"]
@@ -162,9 +165,13 @@ def test_one_order_one_evaluation_per_suite(name, suite, poles, monkeypatch):
     if poles == "sampled":
         poles = sample_poles(catalog(name), grid, count)
     rows.clear()
-    rep = verify.run_suite(suite, F, poles=poles, samples=SAMPLES)
-    if suite not in verify.ONE_POLE:
-        assert len(rep["poles"]) == (5 if poles is None else 3)
+    try:
+        rep = verify.run_suite(suite, F, poles=poles, samples=SAMPLES)
+    except NoPointTestedError:  # every Gauss-map point is singular
+        assert (name, suite) == ("constant", "thm2")
+    else:
+        if suite not in verify.ONE_POLE:
+            assert len(rep["poles"]) == (5 if poles is None else 3)
     k = [grid.shape[0]]
     keys = ("f", "nu") if suite == "square-reconstruction" else (
         "f", "nu", "jac_f", "jac_nu")
@@ -195,21 +202,36 @@ def test_pole_rules_fail_before_any_pole_is_drawn(name, poles, match,
         raise AssertionError("a pole was drawn")
 
     monkeypatch.setattr(verify, "sample_poles", no_sampling)
+    F = catalog("square" if name == "square-reconstruction" else "circle")
     with pytest.raises(UsageError, match=match):
-        verify.run_suite(name, catalog("circle"), poles=poles, samples=32)
+        verify.run_suite(name, F, poles=poles, samples=32)
 
 
 @pytest.mark.parametrize("name", ["thm2", "square-reconstruction"])
-def test_one_pole_suite_draws_the_first_sampled_pole(name):
+def test_one_pole_suite_draws_the_first_sampled_pole(name, monkeypatch):
     """A one-pole suite given the count 1, and thm2 given no pole, draws
     its pole from the pole suites' grid, as thm1 draws its first: thm2 on
-    every catalog frontal, square-reconstruction on the square."""
+    every catalog frontal, square-reconstruction on the square.  thm2 on
+    the constant, whose every Gauss-map point is singular, draws it too,
+    then raises NoPointTestedError."""
+    drawn = []
+
+    def spy(*args, **kw):
+        drawn.append(sample_poles(*args, **kw))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify, "sample_poles", spy)
     for frontal in catalog_names() if name == "thm2" else ["square"]:
         F = catalog(frontal)
         want = verify.run_suite("thm1", F, samples=SAMPLES)["poles"][0]
         for poles in (1, None) if name == "thm2" else (1,):
-            rep = verify.run_suite(name, F, poles=poles, samples=SAMPLES)
-            assert rep["pole"] == want, frontal
+            if frontal == "constant":
+                with pytest.raises(NoPointTestedError):
+                    verify.run_suite(name, F, poles=poles, samples=SAMPLES)
+            else:
+                rep = verify.run_suite(name, F, poles=poles, samples=SAMPLES)
+                assert rep["pole"] == want, frontal
+            assert drawn[-1][0].tolist() == want, frontal
 
 
 # sha256 of `frontalforge verify --suite S --catalog C --samples 4096
