@@ -79,21 +79,19 @@ def _circle(R: float = 1.0) -> Frontal:
     if not (math.isfinite(R) and R > 0.0):
         raise CatalogParameterError("circle: R must be finite and positive")
 
-    def f(x):
-        t = x[:, 0]
-        return R * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
     def nu(x):
         t = x[:, 0]
         return np.stack([np.cos(t), np.sin(t)], axis=-1)
 
-    def jac_f(x):
-        t = x[:, 0]
-        return R * np.stack([-np.sin(t), np.cos(t)], axis=-1)[:, :, None]
-
     def jac_nu(x):
         t = x[:, 0]
         return np.stack([-np.sin(t), np.cos(t)], axis=-1)[:, :, None]
+
+    def f(x):
+        return R * nu(x)
+
+    def jac_f(x):
+        return R * jac_nu(x)
 
     return Frontal(domain=interval(0.0, TWO_PI, periodic=True), f=f, nu=nu,
                    ambient_dim=2, jac_f=jac_f, jac_nu=jac_nu,
@@ -154,6 +152,13 @@ def _square_rows(seg, s, slope, const=None):
     return [np.take(c, seg) + r for c, r in zip(const, rows)]
 
 
+def _square_normal(seg, u):
+    """The unit normal (e1, e2) on each row and the raw normal's length."""
+    n1, n2 = _square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0)
+    nrm = np.hypot(n1, n2)
+    return n1 / nrm, n2 / nrm, nrm
+
+
 def _square() -> Frontal:
     def f(x):
         seg, u = _square_segments(x[:, 0])
@@ -161,10 +166,8 @@ def _square() -> Frontal:
                                      _SQUARE_F0), axis=-1)
 
     def nu(x):
-        seg, u = _square_segments(x[:, 0])
-        n1, n2 = _square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0)
-        nrm = np.hypot(n1, n2)
-        return np.stack([n1 / nrm, n2 / nrm], axis=-1)
+        e1, e2, _ = _square_normal(*_square_segments(x[:, 0]))
+        return np.stack([e1, e2], axis=-1)
 
     def jac_f(x):
         seg, u = _square_segments(x[:, 0])
@@ -172,12 +175,10 @@ def _square() -> Frontal:
                         axis=-1)[:, :, None]
 
     def jac_nu(x):
-        # (I - nu nu^T) dn / |n| for the raw normal n = (n1, n2)
+        # (I - nu nu^T) dn / |n| for the raw normal n
         seg, u = _square_segments(x[:, 0])
-        n1, n2 = _square_rows(seg, smooth_step(u), _SQUARE_N1, _SQUARE_N0)
+        e1, e2, nrm = _square_normal(seg, u)
         dn1, dn2 = _square_rows(seg, smooth_step_deriv(u), _SQUARE_N1)
-        nrm = np.hypot(n1, n2)
-        e1, e2 = n1 / nrm, n2 / nrm
         along = e1 * dn1 + e2 * dn2
         return np.stack([(dn1 - along * e1) / nrm,
                          (dn2 - along * e2) / nrm], axis=-1)[:, :, None]

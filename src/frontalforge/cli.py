@@ -94,6 +94,14 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _emit(path: str | None, text: str):
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        _write(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_catalog(args) -> int:
     for name in catalog_names():
         F = catalog(name)
@@ -136,21 +144,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in verify.SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; "
-                         f"known: {', '.join(verify.SUITES)}")
-    if args.suite == "square-reconstruction":
-        if args.catalog not in (None, "square"):
-            raise UsageError("suite square-reconstruction runs on the square "
-                             f"only, not --catalog {args.catalog!r}")
-    F = None if args.suite == "square-reconstruction" else _load_frontal(args)
+    F = _load_frontal(args) if args.catalog or args.param else None
     report = verify.run_suite(args.suite, F=F, poles=_parse_poles(args),
                               samples=args.samples)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json:
-        _write(args.json, text + "\n")
-    else:
-        print(text)
+    _emit(args.json, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
 
@@ -168,27 +165,22 @@ def cmd_ns(args) -> int:
     res = (int(parts[0]), int(parts[-1]))
     grid = verify.grid_for(F, args.samples)
     raster = ns_raster(F, bbox, res, grid, args.tol_ns)
-    if args.out_pgm:
-        _write(args.out_pgm, raster_to_pgm(raster))
+    if args.out_pgm or not args.out_csv:
+        _emit(args.out_pgm, raster_to_pgm(raster))
     if args.out_csv:
         _write(args.out_csv, raster_to_csv(raster))
-    if not (args.out_pgm or args.out_csv):
-        sys.stdout.write(raster_to_pgm(raster))
     return EXIT_OK
 
 
 def _report_lines(reports, path):
-    text = "\n".join(json.dumps(r, sort_keys=True) for r in reports) + "\n"
-    if path:
-        _write(path, text)
-    else:
-        sys.stdout.write(text)
+    text = "\n".join(json.dumps(r, sort_keys=True) for r in reports)
+    _emit(path, text + "\n")
 
 
 def cmd_cahn_hoffman(args) -> int:
     F = _load_frontal(args)
     P = _parse_reals(args.pole, "pole")
-    grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
+    grid = verify.grid_for(F, args.samples, interior_margin=verify.GRID_INSET)
     rep = cahn_hoffman(F, P, grid, args.tol_jnu)
     reports = [
         {"x": x, "singular": True} if singular else
@@ -209,7 +201,7 @@ _FRONT_FIELDS = ("rank_f_nu", "rank_ftilde_nutilde", "rank_f_ftilde",
 def cmd_front_check(args) -> int:
     F = _load_frontal(args)
     P = _parse_reals(args.pole, "pole")
-    grid = verify.grid_for(F, args.samples, interior_margin=1e-3)
+    grid = verify.grid_for(F, args.samples, interior_margin=verify.GRID_INSET)
     rep = front_equivalence(F, P, grid, args.tol_rank)
     columns = [getattr(rep, key).tolist() for key in _FRONT_FIELDS]
     reports = [dict(zip(("x",) + _FRONT_FIELDS, row))

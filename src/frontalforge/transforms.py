@@ -237,10 +237,13 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     (see _screen_stride).  A subset's min is >= the full min and its max
     <= the full max, so a candidate the screen rejects fails the full check
     too; the full check runs only on the rest, and every accepted pole is
-    the one the unscreened loop would accept.  A count < 1 is a UsageError.
+    the one the unscreened loop would accept.  A count that is not an
+    integer >= 1 (a bool included) is a UsageError.
     """
-    if not count >= 1:
-        raise UsageError(f"need a pole count of at least 1, got {count!r}")
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 1):
+        raise UsageError(f"need an integer pole count of at least 1, "
+                         f"got {count!r}")
     grid, values = F.at(grid, jet=values)
     fv, nv = values[:2]
     finite_rows(grid, fv, nv)

@@ -27,7 +27,7 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
     """Roughly `total` >= 1 samples, split evenly across parameter axes.
 
     interior_margin > 0 insets non-periodic axes by that fraction of their
-    length (used where finite differences need room around each point).
+    length (GRID_INSET where finite differences need room around each point).
     """
     if not total >= 1:
         raise UsageError(f"need at least 1 sample, got {total!r}")
@@ -43,6 +43,7 @@ def grid_for(F: Frontal, total: int, interior_margin: float = 0.0) -> np.ndarray
 
 
 N_POLES = 5             # sampled poles of prop1, thm1, thm3 and thm4
+GRID_INSET = 1e-3       # inset of the pole suites' and CLI analyses' grid
 PROP1_TOL = 1e-8        # prop1 support identity
 PROP1_MARGIN = 1e-3     # prop1 tests f != f~ where |(f-P).nu| > PROP1_MARGIN
 THM2_TOL = 1e-5         # thm2 residual / (1 + |direct offset|)
@@ -58,7 +59,7 @@ def _pole_grid(F: Frontal, samples: int, poles, order: int = 1):
     """The wrapped grid of a pole suite, F's jet of that order on it, and
     the poles: the given rows as a (k, m) array, or a count (N_POLES for
     None) of NS poles, which the sampler finds from that jet."""
-    grid, jet = F.at(grid_for(F, samples, interior_margin=1e-3), order)
+    grid, jet = F.at(grid_for(F, samples, interior_margin=GRID_INSET), order)
     if poles is None or np.isscalar(poles):  # None or a count
         count = N_POLES if poles is None else poles
         return grid, jet, sample_poles(F, grid, count, values=jet)
@@ -398,7 +399,8 @@ ONE_POLE = ("thm2", "square-reconstruction")
 
 def run_suite(name: str, F: Frontal | None = None, poles=None,
               samples: int | None = None) -> dict:
-    """Dispatch a named suite (square-reconstruction: on the square alone).
+    """Dispatch a named suite (square-reconstruction: on the square alone,
+    built here when F is None).
     poles: one per row (one for ONE_POLE, None for frontal-condition), a
     count k >= 1 of NS poles to sample (the CLI's --poles auto:k), or None
     for N_POLES (thm2: one; square-reconstruction: SQUARE_POLE).  Each given
@@ -407,13 +409,13 @@ def run_suite(name: str, F: Frontal | None = None, poles=None,
     if name not in DEFAULT_SAMPLES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     samples = DEFAULT_SAMPLES[name] if samples is None else samples
-    if name == "square-reconstruction":
-        if F is not None and F.name != "square":
-            raise UsageError("suite square-reconstruction runs on the square "
-                             f"only, not on {F.name!r}")
+    if name == "square-reconstruction" and F is None:
         F = catalog("square")
     if F is None:
         raise UsageError(f"suite {name!r} needs a frontal")
+    if name == "square-reconstruction" and F.name != "square":
+        raise UsageError("suite square-reconstruction runs on the square "
+                         f"only, not on {F.name!r}")
     if not (poles is None or np.isscalar(poles)):  # rows
         poles = np.array([F.pole(P) for P in poles])
     if poles is not None and name == "frontal-condition":

@@ -336,11 +336,29 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["max_mirror_residual"] <= 1e-6
 
-    @pytest.mark.parametrize("name", ["circle", "no-such-frontal"])
-    def test_square_reconstruction_rejects_other_catalog(self, name, capsys):
+    @pytest.mark.parametrize("name, says", [
+        ("circle", "square-reconstruction runs on the square only, "
+                   "not on 'circle'"),
+        ("no-such-frontal", "'no-such-frontal'")],
+        ids=["circle", "no-such-frontal"])
+    def test_square_reconstruction_rejects_other_catalog(self, name, says,
+                                                         capsys):
         assert run(["verify", "--suite", "square-reconstruction",
                     "--catalog", name, "--samples", "64"]) == EXIT_USAGE
-        assert "square-reconstruction" in capsys.readouterr().err
+        assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frontal", [["--catalog", "square"], []],
+                             ids=["with-catalog", "param-alone"])
+    def test_square_reconstruction_checks_params(self, frontal, capsys):
+        """--param is checked for every suite, the square's own too."""
+        assert run(["verify", "--suite", "square-reconstruction", *frontal,
+                    "--param", "bogus=1", "--samples", "64"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_suite_without_catalog_needs_a_frontal(self, capsys):
+        assert run(["verify", "--suite", "thm1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: suite 'thm1' needs a frontal\n"
 
     def test_square_reconstruction_accepts_square(self, capsys):
         assert run(["verify", "--suite", "square-reconstruction",

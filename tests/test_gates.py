@@ -114,10 +114,15 @@ def test_pole_is_returned_as_floats():
     assert P.dtype == float and P.tolist() == [0.0, 1.0, 2.0]
 
 
-# a count of 0 asks for nothing, which is not the default
+# a count of 0 asks for nothing, which is not the default; a count that is
+# not an integer would draw until the sampler gives up, and True is no count
 @pytest.mark.parametrize("call, says", [
     (lambda: run_suite("thm1", catalog("circle"), poles=0, samples=32),
      "pole count of at least 1, got 0"),
+    (lambda: run_suite("thm1", catalog("circle"), poles=2.5, samples=32),
+     "integer pole count of at least 1, got 2.5"),
+    (lambda: run_suite("thm1", catalog("circle"), poles=True, samples=32),
+     "integer pole count of at least 1, got True"),
     (lambda: run_suite("thm2", catalog("circle"), poles=0, samples=32),
      "pole count of at least 1, got 0"),
     (lambda: sample_poles(catalog("circle"), np.zeros((4, 1)), 0),
@@ -127,11 +132,17 @@ def test_pole_is_returned_as_floats():
     (lambda: grid_for(catalog("circle"), 0), "at least 1 sample, got 0"),
     (lambda: run_suite("square-reconstruction", catalog("circle")),
      "runs on the square only, not on 'circle'")],
-    ids=["thm1-poles-0", "thm2-poles-0", "sample_poles-0", "thm1-samples-0",
-         "grid_for-0", "square-reconstruction-on-circle"])
+    ids=["thm1-poles-0", "thm1-poles-2.5", "thm1-poles-True", "thm2-poles-0",
+         "sample_poles-0", "thm1-samples-0", "grid_for-0",
+         "square-reconstruction-on-circle"])
 def test_zero_count_and_wrong_frontal_are_usage_errors(call, says):
     with pytest.raises(UsageError, match=says):
         call()
+
+
+def test_numpy_integer_is_a_pole_count():
+    F = catalog("circle")
+    assert sample_poles(F, grid_for(F, 32), np.int64(2)).shape == (2, 2)
 
 
 def _circle():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import frontalforge
+from frontalforge.verify import SUITES
 
 SRC = Path(frontalforge.__file__).parent
 
@@ -85,3 +86,12 @@ def test_cli_import_leaves_out_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_names_no_suite():
+    """The suites' rules live in verify.run_suite alone: the CLI passes
+    --suite through and names no suite itself."""
+    named = sorted({node.value for node in ast.walk(_parse("cli"))
+                    if isinstance(node, ast.Constant)
+                    and node.value in SUITES})
+    assert named == []
