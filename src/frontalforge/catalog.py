@@ -5,6 +5,7 @@ All evaluators are vectorized over parameter arrays of shape (k, n).
 """
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 
@@ -310,7 +311,11 @@ def catalog(name: str, params: dict | None = None) -> Frontal:
     if name not in _BUILDERS:
         raise UnknownCatalogError(
             f"unknown catalog frontal {name!r}; known: {', '.join(catalog_names())}")
+    known = inspect.signature(_BUILDERS[name]).parameters
     for key, value in (params or {}).items():
+        if key not in known:
+            raise CatalogParameterError(f"{name}: unknown parameter {key!r}; "
+                                        f"known: {', '.join(known) or 'none'}")
         if not isinstance(value, numbers.Real):
             raise CatalogParameterError(f"{name}: parameter {key!r} must be "
                                         f"a real number, not {value!r}")
@@ -319,7 +324,4 @@ def catalog(name: str, params: dict | None = None) -> Frontal:
         except OverflowError:  # a JSON integer beyond the float range
             raise CatalogParameterError(f"{name}: parameter {key!r} is "
                                         "beyond the float range") from None
-    try:
-        return _BUILDERS[name](**(params or {}))
-    except TypeError as exc:
-        raise CatalogParameterError(f"{name}: {exc}") from exc
+    return _BUILDERS[name](**(params or {}))

@@ -38,12 +38,9 @@ def _lengths(v: np.ndarray) -> np.ndarray:
 
 
 def _length(v: np.ndarray) -> float:
-    """The length of one vector: np.linalg.norm(v), bit for bit, where that
-    is finite, else as in _lengths, so that a finite v whose squares
-    overflow (beyond about 1.3e154) keeps a finite length."""
-    with np.errstate(over="ignore"):
-        out = float(np.linalg.norm(v))
-    return out if np.isfinite(out) else float(_lengths(v[None])[0])
+    """The length of v, _lengths of one row: finite for a finite v whose
+    squares overflow (beyond about 1.3e154)."""
+    return float(_lengths(np.asarray(v, dtype=float)[None])[0])
 
 
 def col_bounds(a: np.ndarray) -> tuple:

@@ -25,7 +25,6 @@ from . import _kernels
 from .errors import UsageError
 from .frontal import Frontal
 from .io import Table, choice, table_text
-from .linalg import _length, col_bounds, finite_rows
 
 DEFAULT_NS_TOL_FRAC = 1e-9
 # `ns_raster`'s error-band factor, cull margin factor and rows per block
@@ -74,24 +73,19 @@ class RasterGrid:
         return xs, ys
 
 
-def _ns_tol(scale: float, tol_frac: float) -> float:
-    return tol_frac * max(scale, 1.0)
-
-
 def ns_membership(F: Frontal, P, grid: np.ndarray) -> NSReport:
     """Grid-relative no-silhouette membership of the pole P.
 
-    margin = min over grid of |(f(x)-P).nu(x)|; member iff the support value
-    keeps one sign on the grid and the margin exceeds a scale-aware
-    threshold (DEFAULT_NS_TOL_FRAC times the image bbox diagonal, at
-    least 1).
+    margin = min over grid of |(f(x)-P).nu(x)| (`_kernels.support_values`);
+    member iff dmin > tol or dmax < -tol, as for an `ns_raster` cell centred
+    at P, with tol DEFAULT_NS_TOL_FRAC times the image bbox diagonal, at
+    least 1.
     """
     P = F.pole(P)
-    grid, (fv, nv) = F.at(grid)
-    finite_rows(grid, fv, nv)
-    d = np.einsum("km,km->k", fv - P, nv)
-    lo, hi = col_bounds(fv)
-    tol = _ns_tol(_length(hi - lo), DEFAULT_NS_TOL_FRAC)
+    grid, fv, nv, *_, tol = _kernels.support_samples(F, grid,
+                                                     DEFAULT_NS_TOL_FRAC)
+    d = _kernels.support_values(_kernels.support_offsets(fv, nv),
+                                np.ascontiguousarray(nv.T), P)
     member = bool(d.min() > tol or d.max() < -tol)
     i = int(np.argmin(np.abs(d)))
     return NSReport(member=member, margin=float(abs(d[i])),
@@ -144,22 +138,22 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
     """Rasterized no-silhouette membership over a planar bounding box.
 
     bbox = (xmin, xmax, ymin, ymax); resolution = (nx, ny) or a single int.
-    The cells are those of the dense sweep `_kernels.support_extrema` at the
-    cell centers (dmin > tol or dmax < -tol), found row by row from
-    half-plane bounds.  For sign s, sample k admits (x, y) iff
+    A cell is a member iff the d_k = `_kernels.support_values` at its centre
+    give dmin > tol or dmax < -tol, `ns_membership`'s test; cells are found
+    row by row from half-plane bounds.  For sign s, sample k admits (x, y) iff
     s d_k - tol > 0, iff sigma_k x < v_k = (s (a_k - y nu_k,y) - tol)/m_k,
     where m_k = |nu_k,x| and sigma_k = s sgn(nu_k,x) (m_k = 1, sigma_k = 0
-    if nu_k,x is 0 or NaN).  The sweep's rounding error in d_k is below
-    3u (|a_k| + |y nu_k,y| + |x nu_k,x|), and the computed v_k is within
+    if nu_k,x is 0 or NaN).  From the a_k the bounds share, the rule rounds
+    d_k = a_k - (x nu_k,x + y nu_k,y) four times, so its error is below
+    3u (1 + 2u) (|a_k| + |y nu_k,y| + |x nu_k,x|); the computed v_k is within
     4u (|a_k| + |y nu_k,y| + tol)/m_k of the exact one (u = eps/2).  So
     outside a band w_k = 8 eps (|a_k| + |y nu_k,y| + max|x| |nu_k,x| + tol
     + tiny)/m_k about its bound (tiny, the least normal float, covers
-    underflow), sample k decides as the sweep does: per row and class
+    underflow), sample k decides as the rule does: per row and class
     (s, sigma), cells with sigma x < min(v - w) are surely admitted, and
-    cells with sigma x > min(v + w) surely refused.  Cells left undecided
-    by the bands (next to an interval end, or with NaN bounds) go to
-    `_kernels.support_extrema`, so every cell equals the sweep's, whatever
-    FMA use or summation order the BLAS picks.
+    cells with sigma x > min(v + w) surely refused.  Cells the bands leave
+    undecided (next to an interval end, or with NaN bounds) go to the dense
+    sweep `_kernels.support_extrema`, so every cell is the rule's.
 
     The minima are taken per block of rows y0..y1 over the samples a cull
     keeps: with j the sample of its class of least max(v_j + c w_j) at the
@@ -185,10 +179,7 @@ def ns_raster(F: Frontal, bbox, resolution, grid: np.ndarray,
                         cells=np.zeros((ny, nx), dtype=bool))
     xs, ys = raster.centers()
 
-    grid, (fv, nv) = F.at(grid)
-    finite_rows(grid, fv, nv)
-    lo, hi = col_bounds(fv)
-    tol = _ns_tol(_length(hi - lo), tol_frac)
+    _, fv, nv, *_, tol = _kernels.support_samples(F, grid, tol_frac)
 
     # bounds that overflow (boxes near 1e308) leave NaNs: cells undecided
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

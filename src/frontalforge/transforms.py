@@ -21,10 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import support_offsets, support_samples, support_values
 from .errors import (EmptyNSSetError, GaussDegenerateError,
                      PoleOnSilhouetteError, UsageError)
 from .frontal import Frontal
-from .linalg import col_bounds, finite_rows, row_norm
+from .linalg import row_norm
 
 DEFAULT_DEGENERACY_TOL = 1e-9
 POLE_SAMPLER_SEED = 0xF20F7A1
@@ -223,15 +224,15 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
     """Rejection-sample `count` poles inside the no-silhouette set of F.
 
     Candidates are drawn uniformly from the image bounding box inflated by
-    half its diagonal; a candidate is accepted iff the support values
-    (f(x)-P).nu(x) keep one sign over the grid with margin exceeding
-    POLE_MARGIN_FRAC * scale (scale = bounding-box diagonal).  Mixed signs
-    mean a silhouette zero lies between samples, so such poles are rejected
-    even when the sampled margin is large.  Fewer than `count` poles
-    accepted in POLE_MAX_TRIES candidates, drawn from a generator seeded
-    with POLE_SAMPLER_SEED, raise EmptyNSSetError, as does a box too large
-    to draw from; a non-finite f or nu raises NonFiniteSampleError.  values,
-    when given, is (f, nu) of F on the grid, which is not evaluated again.
+    half its diagonal d; one is accepted iff its `_kernels.support_values`
+    keep one sign over the grid with margin exceeding POLE_MARGIN_FRAC *
+    max(d, 1).  Mixed signs mean a silhouette zero lies between samples, so
+    such poles are rejected even when the sampled margin is large.  Fewer
+    than `count` poles accepted in POLE_MAX_TRIES candidates, drawn from a
+    generator seeded with POLE_SAMPLER_SEED, raise EmptyNSSetError, as does
+    a box too large to draw from; a non-finite f or nu raises
+    NonFiniteSampleError.  values, when given, is (f, nu) of F on the grid,
+    which is not evaluated again.
 
     Each candidate is first screened on about POLE_SCREEN_ROWS grid rows
     (see _screen_stride).  A subset's min is >= the full min and its max
@@ -244,32 +245,27 @@ def sample_poles(F: Frontal, grid: np.ndarray, count: int,
             or count < 1):
         raise UsageError(f"need an integer pole count of at least 1, "
                          f"got {count!r}")
-    grid, values = F.at(grid, jet=values)
-    fv, nv = values[:2]
-    finite_rows(grid, fv, nv)
-    lo, hi = col_bounds(fv)
+    _, fv, nv, lo, hi, diag, margin = support_samples(F, grid,
+                                                      POLE_MARGIN_FRAC, values)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = float(np.linalg.norm(hi - lo))
         pad = 0.5 * diag + 0.5  # keep the box non-degenerate for point images
-        lo = lo - pad
-        hi = hi + pad
+        lo, hi = lo - pad, hi + pad
         finite = np.isfinite(hi - lo).all()
     if not finite:
         raise EmptyNSSetError(
             f"pole sampler box has no finite width (image bounding-box "
             f"diagonal {diag!r}): the image is too large or not finite")
-    margin = POLE_MARGIN_FRAC * max(diag, 1.0)
     rng = np.random.default_rng(POLE_SAMPLER_SEED)
-    a = np.einsum("km,km->k", fv, nv)
+    a, nu_cols = support_offsets(fv, nv), np.ascontiguousarray(nv.T)
     stride = _screen_stride(len(a))
-    a_screen, nv_screen = a[::stride].copy(), nv[::stride].copy()
+    a_screen, nu_screen = a[::stride].copy(), nu_cols[:, ::stride].copy()
     poles = []
     for _ in range(POLE_MAX_TRIES):
         P = rng.uniform(lo, hi)
-        d = a_screen - nv_screen @ P
+        d = support_values(a_screen, nu_screen, P)
         if d.min() <= margin and d.max() >= -margin:
             continue
-        d = a - nv @ P
+        d = support_values(a, nu_cols, P)
         if d.min() > margin or d.max() < -margin:
             poles.append(P)
             if len(poles) == count:

@@ -16,7 +16,7 @@ from .catalog import catalog
 from .errors import NoPointTestedError, SupportDegenerateError, UsageError
 from .frontal import (FRONTAL_TOL, Frontal, ParamDomain, check_frontal,
                       tangency_residuals)
-from .linalg import _lengths, row_norm
+from .linalg import _length, _lengths, row_norm
 from .transforms import anti_orthotomic, orthotomic, pedal, sample_poles
 
 # Unused here; bound because perfbench/tracer.py patches it in this module.
@@ -361,7 +361,7 @@ def suite_square_reconstruction(F: Frontal, samples: int,
         worst_mirror = max(worst_mirror, float(np.max(row_norm(
             fv[seg == 2 * i + 1] - mirror[i]))))
         pts = fv[seg == 2 * i]
-        radius = float(np.linalg.norm(center - P))
+        radius = _length(center - P)
         worst_radius = max(worst_radius, float(np.max(np.abs(
             row_norm(pts - center) - radius))))
         # the arc joins the adjacent mirror points a, b, on the side of

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frontalforge.catalog import (_SQUARE_N0, _SQUARE_N1, _bump, _cube,
-                                  _square_rows, _square_segments, catalog,
-                                  catalog_names, smooth_step,
+from frontalforge.catalog import (_BUILDERS, _SQUARE_N0, _SQUARE_N1, _bump,
+                                  _cube, _square_rows, _square_segments,
+                                  catalog, catalog_names, smooth_step,
                                   smooth_step_deriv)
 from frontalforge.errors import CatalogParameterError, UnknownCatalogError
 from frontalforge.frontal import _fd_jacobian
@@ -39,6 +39,29 @@ def test_bad_params():
         catalog("circle", {"R": -1.0})
     with pytest.raises(CatalogParameterError):
         catalog("circle", {"radius": 1.0})
+
+
+@pytest.mark.parametrize("name, params, says", [
+    ("circle", {"radius": 1.0}, "circle: unknown parameter 'radius'; "
+                                "known: R"),
+    ("square", {"bogus": 1}, "square: unknown parameter 'bogus'; known: none"),
+    ("sphere", {"R": 1.0}, "sphere: unknown parameter 'R'; "
+                           "known: polar_margin")])
+def test_unknown_param_names_the_known_ones(name, params, says):
+    with pytest.raises(CatalogParameterError) as caught:
+        catalog(name, params)
+    assert str(caught.value) == says
+
+
+def test_type_error_in_builder_body_propagates(monkeypatch):
+    """A TypeError raised inside a builder is a fault of the builder, not a
+    bad parameter, so it is not reported as one."""
+    def broken(R: float = 1.0):
+        return len(R)
+
+    monkeypatch.setitem(_BUILDERS, "circle", broken)
+    with pytest.raises(TypeError, match="has no len"):
+        catalog("circle", {"R": 2.0})
 
 
 def test_circle_radius_param():

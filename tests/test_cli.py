@@ -723,6 +723,16 @@ class TestExitCodes:
         (["ns", "--catalog", "circle", "--param", "R=1e300",
           "--bbox=-2e300,2e300,-2e300,2e300", "--resolution", "8",
           "--samples", "64"], EXIT_OK, ""),
+        # the sampler's box keeps a finite diagonal, so poles are drawn; then
+        # ||f-P|| overflows in the inverse kinds: exit 3 for now, where a
+        # scale-free row norm (ROADMAP item 4) will make it exit 0
+        (["verify", "--suite", "thm1", "--catalog", "circle", "--param",
+          "R=1e200", "--samples", "64"], EXIT_DEGENERATE,
+         "PoleOnSilhouetteError"),
+        # a parameter the builder does not take
+        (["ns", "--catalog", "square", "--param", "bogus=1",
+          "--bbox=-2,2,-2,2", "--resolution", "4", "--samples", "64"],
+         EXIT_USAGE, "'bogus'"),
         # ||f-P|| overflows: every nu2 reads as degenerate, quietly, and a
         # scale-free nu2 (ROADMAP item 4) will make each exit 0
         (["verify", "--suite", "thm3", "--catalog", "circle",
@@ -747,6 +757,7 @@ class TestExitCodes:
              "huge-cubic-thm1", "huge-cubic-transform",
              "param-int-overflow", "cubic-param-int-overflow",
              "huge-circle-ns-small-box", "huge-circle-ns-huge-box",
+             "huge-circle-thm1", "unknown-param",
              "huge-pole-thm3", "huge-circle-thm3", "huge-cubic-thm2",
              "constant-thm2-no-point", "tiny-circle-thm4-no-point"])
     def test_edge_input_sweep(self, argv, code, says, capsys):

@@ -95,3 +95,19 @@ def test_cli_names_no_suite():
                     if isinstance(node, ast.Constant)
                     and node.value in SUITES})
     assert named == []
+
+
+def test_no_blas_outside_the_svd():
+    """Sums of products in src/ are written out in ufuncs, which round the
+    same on every BLAS kernel: no module uses `@` or calls np.dot,
+    np.matmul, np.inner or np.linalg.norm (a BLAS dot for a 1-D vector).
+    np.linalg.svd in linalg.singular_values is the one LAPACK call left
+    (ROADMAP item 12)."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(getattr(node, "op", None), ast.MatMult)
+                 or isinstance(node, ast.Attribute)
+                 and (node.attr in ("dot", "matmul", "inner")
+                      or ast.unparse(node).endswith("linalg.norm"))]
+        assert found == [], path.name

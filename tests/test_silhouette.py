@@ -11,7 +11,7 @@ from frontalforge import _kernels, silhouette
 from frontalforge.catalog import catalog, catalog_names
 from frontalforge.frontal import Frontal, interval
 from frontalforge.errors import NonFiniteSampleError, UsageError
-from frontalforge.linalg import col_bounds
+from frontalforge.linalg import _length, col_bounds
 from frontalforge.silhouette import (_ROW_BLOCK, DEFAULT_NS_TOL_FRAC,
                                      RasterGrid, ns_membership, ns_raster,
                                      raster_to_csv, raster_to_pgm)
@@ -185,8 +185,7 @@ def _dense_cells(F, bbox, resolution, grid, tol_frac=DEFAULT_NS_TOL_FRAC):
     fv, nv = F.eval(grid)
     dmin, dmax = _kernels.support_extrema(
         fv, nv, np.stack([gx.ravel(), gy.ravel()], axis=-1))
-    scale = float(np.linalg.norm(fv.max(axis=0) - fv.min(axis=0)))
-    tol = tol_frac * max(scale, 1.0)
+    tol = tol_frac * max(_length(fv.max(axis=0) - fv.min(axis=0)), 1.0)
     return ((dmin > tol) | (dmax < -tol)).reshape(ny, nx)
 
 
@@ -342,6 +341,40 @@ class TestRasterAcrossBlocks:
                 ns_raster(F, (-1e308, 1e308, -1e308, 1e308), 4, g)
 
 
+NEAR_BOUNDARY = ("circle", "circle-cubic", "square", "cusp", "nonfront")
+
+
+@pytest.mark.parametrize("name", NEAR_BOUNDARY)
+def test_membership_is_the_raster_cell_near_the_boundary(name):
+    """`ns_membership` at a cell centre decides as the raster cell does,
+    on 120 boxes of 5 x 5 cells a few ulps wide per curve, each centred
+    where bisection puts the membership boundary between a sampled pole
+    and an image point: there the two see support values within rounding
+    of +-tol, so only one rule for both makes them agree.  F's samples
+    are evaluated once and held in its jet."""
+    g = _grid(catalog(name), 512)
+    held = catalog(name).eval(g)
+    F = dataclasses.replace(catalog(name), jet=lambda x, order=0: held)
+    _, fv, nv, *_, tol = _kernels.support_samples(F, g, DEFAULT_NS_TOL_FRAC)
+    rng = np.random.default_rng(NEAR_BOUNDARY.index(name))
+    inside = sample_poles(F, g, 120)
+    outside = fv[rng.choice(len(fv), len(inside))]
+    for _ in range(64):
+        mid = 0.5 * (inside + outside)
+        dmin, dmax = _kernels.support_extrema(fv, nv, mid)
+        member = ((dmin > tol) | (dmax < -tol))[:, None]
+        inside = np.where(member, mid, inside)
+        outside = np.where(member, outside, mid)
+    for c in inside:
+        h = 2.0 * np.spacing(np.abs(c) + 1.0)
+        raster = ns_raster(F, (c[0] - h[0], c[0] + h[0], c[1] - h[1],
+                               c[1] + h[1]), 5, g)
+        xs, ys = raster.centers()
+        np.testing.assert_array_equal(
+            raster.cells, [[ns_membership(F, (x, y), g).member for x in xs]
+                           for y in ys])
+
+
 def _unculled_bounds(fv, nv, xs, ys, tol):
     """The row loop of `ns_raster` before it culled samples, over all rows at
     once: per sign, max(b + w) and max(b - w) over the lower bounds,
@@ -438,7 +471,7 @@ class TestCulledMinima:
         F = catalog(name) if isinstance(name, str) else name
         fv, nv = F.eval_wrapped(F.domain.wrap(_grid(F, samples)))
         lo, hi = col_bounds(fv)
-        tol = silhouette._ns_tol(float(np.linalg.norm(hi - lo)), tol_frac)
+        tol = tol_frac * max(_length(hi - lo), 1.0)
         ny = 3 * _ROW_BLOCK + 5
         xs, ys = RasterGrid(bbox, (64, ny), np.zeros((ny, 64), bool)).centers()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -479,6 +512,7 @@ class TestNonFiniteSamples:
 
         monkeypatch.setattr(silhouette, "_row_minima", judged)
         monkeypatch.setattr(_kernels, "support_extrema", judged)
+        monkeypatch.setattr(_kernels, "support_values", judged)
         grid = _grid(C)
         with pytest.raises(NonFiniteSampleError, match=re.escape(
                 f"non-finite sample at x={grid[100].tolist()!r}")):

@@ -13,6 +13,7 @@ NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 GOLDEN_TESTS = (
     "tests/test_acceptance.py::test_criterion_10_determinism_and_goldens",
     "tests/test_transforms.py::test_transform_csv_bytes_pinned",
+    "tests/test_transforms.py::test_sample_poles_bytes_pinned",
     "tests/test_verify.py::test_suite_report_bytes_pinned",
     "tests/test_verify.py::test_suite_report_bytes_pinned_under_split",
     "tests/test_io.py::TestByteOracle",
